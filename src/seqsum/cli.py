@@ -138,19 +138,34 @@ def _budget_from(args) -> OptBudget:
     restarts = args.restarts
     iterations = args.iterations
     env = os.environ.get("SEQSUM_BUDGET")
-    if env:
-        for piece in env.split(","):
-            key, _, val = piece.partition("=")
-            key = key.strip()
-            if key == "restarts" and restarts is None:
-                restarts = int(val)
-            elif key == "iterations" and iterations is None:
-                iterations = int(val)
-    return OptBudget(
-        restarts=restarts if restarts is not None else base.restarts,
-        iterations=iterations if iterations is not None else base.iterations,
-        seed=args.seed,
-    )
+    try:
+        if env:
+            for piece in env.split(","):
+                key, _, val = piece.partition("=")
+                key = key.strip()
+                if key == "restarts" and restarts is None:
+                    restarts = int(val)
+                elif key == "iterations" and iterations is None:
+                    iterations = int(val)
+        return OptBudget(
+            restarts=restarts if restarts is not None else base.restarts,
+            iterations=iterations if iterations is not None else base.iterations,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise CliError(f"bad search budget: {exc}", EXIT_BAD_INPUT) from exc
+
+
+# integer options and the least value each accepts
+_MINIMA = {"m": 1, "n": 1, "blocks": 1, "restarts": 1, "iterations": 1, "trials": 1,
+           "seed": 0}
+
+
+def _check_counts(args):
+    for key, least in _MINIMA.items():
+        val = getattr(args, key, None)
+        if val is not None and val < least:
+            raise CliError(f"--{key} must be >= {least}, got {val}", EXIT_BAD_INPUT)
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +642,7 @@ def run(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        _check_counts(args)
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,11 @@ Determinism contract: identical inputs and budget (including the seed) give
 bit-identical results.  Each restart draws from its own child generator of
 np.random.SeedSequence(entropy=seed, spawn_key=(restart,)), so results do not
 depend on evaluation order across restarts.
+
+Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
+of values, and Ball.project acts on the last axis of an array with any
+leading batch axes.  Row i of either result must not depend on the other
+rows, so a point scores the same bits alone or inside a stack.
 """
 
 from __future__ import annotations
@@ -80,8 +85,9 @@ class Witnessed:
 class Ball:
     """Search domain with a feasibility projection.
 
-    project must be idempotent and land inside the feasible set; membership
-    is the ground-truth test used to certify witnesses.  to_boundary, when
+    project must be idempotent and land inside the feasible set; it acts on
+    the last axis, row by row, of a point or a stack of points.  membership
+    is the ground-truth test used to certify one witness.  to_boundary, when
     set, rescales a nonzero point onto the unit sphere of the domain and is
     only used to polish maximizers of homogeneous objectives.
     """
@@ -112,10 +118,11 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
     total = int(offsets[-1])
 
     def split(v):
-        return [v[offsets[i]: offsets[i + 1]] for i in range(len(parts))]
+        return [v[..., offsets[i]: offsets[i + 1]] for i in range(len(parts))]
 
     def project(v):
-        return np.concatenate([b.project(piece) for b, piece in zip(parts, split(v))])
+        return np.concatenate([b.project(piece) for b, piece in zip(parts, split(v))],
+                              axis=-1)
 
     def membership(v):
         return all(b.membership(piece) for b, piece in zip(parts, split(v)))
@@ -132,35 +139,77 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
     )
 
 
-def _check_value(v: float) -> float:
-    v = float(v)
-    if math.isnan(v):
+def _score(objective, points: np.ndarray) -> np.ndarray:
+    """Objective values of a stack of points, raising on any NaN."""
+    vals = np.asarray(objective(points), dtype=float)
+    if np.isnan(vals).any():
         raise ValueError("objective returned NaN")
-    return v
+    return vals
+
+
+def _poll(objective, domain: Ball, C: np.ndarray, best: float):
+    """First of the candidate rows of C that beats best, in row order.
+
+    Returns (row, projected point, value), with row None when none improves.
+    All rows are projected and scored in one stacked call; a NaN counts only
+    up to the row taken, which is as far as a one-at-a-time poll reads.  If
+    the stacked call raises, the rows are scored one at a time instead, so
+    an error surfaces only at a candidate that poll would reach.
+    """
+    try:
+        P = domain.project(C)
+        F = np.asarray(objective(P), dtype=float)
+    except Exception:
+        for j in range(C.shape[0]):
+            p = domain.project(C[j:j + 1])
+            f = _score(objective, p)[0]
+            if f > best:
+                return j, p[0], float(f)
+        return None, None, best
+    hit = np.flatnonzero(F > best)
+    last = int(hit[0]) if hit.size else C.shape[0] - 1
+    if np.isnan(F[: last + 1]).any():
+        raise ValueError("objective returned NaN")
+    if not hit.size:
+        return None, None, best
+    return last, P[last], float(F[last])
 
 
 def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
-    """Compass search from x0.  Returns (best_x, best_f, converged, evals)."""
+    """Compass search from x0.  Returns (best_x, best_f, converged, evals).
+
+    The poll is first-improvement in (coordinate, +, -) order.  It is run
+    speculatively: every candidate left in the sweep, from coordinate i on,
+    is stacked and scored in one call, the first improvement is taken, and
+    the rest of the sweep is re-stacked from the next coordinate at the new
+    point.  The trajectory is that of the one-at-a-time poll, and evals
+    counts only the candidates that poll scores.
+    """
     x = domain.project(np.array(x0, dtype=float))
-    best = _check_value(objective(x))
+    best = float(_score(objective, x[None])[0])
     step = budget.init_step
     evals = 1
     converged = False
     dim = domain.dim
+    # candidate 2c moves coordinate c up by one step, candidate 2c + 1 down
+    coord = np.repeat(np.arange(dim), 2)
+    sign = np.tile([1.0, -1.0], dim)
     for _ in range(budget.iterations):
         moved = False
-        for i in range(dim):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                cand = domain.project(cand)
-                f = _check_value(objective(cand))
-                evals += 1
-                if f > best:
-                    best = f
-                    x = cand
-                    moved = True
-                    break
+        start = 0
+        while start < 2 * dim:
+            k = 2 * dim - start
+            C = np.repeat(x[None], k, axis=0)
+            C[np.arange(k), coord[start:]] += sign[start:] * step
+            j, point, best = _poll(objective, domain, C, best)
+            if j is None:
+                evals += k
+                break
+            evals += j + 1
+            x = point.copy()
+            moved = True
+            # the next coordinate after the one that moved
+            start += (j // 2 + 1) * 2
         if not moved:
             step *= budget.shrink
             if step < budget.min_step:
@@ -174,11 +223,11 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     budget = budget or OptBudget()
     seeds = list(seeds or [])
     if domain.dim == 0:
-        val = sign * _check_value(objective(np.zeros(0)))
+        val = sign * float(_score(objective, np.zeros((1, 0)))[0])
         return np.zeros(0), val, True, {"evals": 1, "restarts": 0}
 
-    def f(v):
-        return sign * _check_value(objective(v))
+    def f(V):
+        return sign * np.asarray(objective(V), dtype=float)
 
     prepared = []
     for s in seeds:
@@ -194,16 +243,20 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         prepared.append(domain.project(arr))
 
     best_x, best_f = None, -math.inf
+    # index of the restart the witness came from; a seed counts as the
+    # restart that starts from it
+    winner = None
     total_evals = 0
-    any_converged = False
     # every seed is scored as-is up front, so the final value can never fall
     # below the best seed even if every restart wanders off
-    for arr in prepared:
-        val = f(arr)
-        total_evals += 1
-        if val > best_f:
-            best_f, best_x = val, arr
+    if prepared:
+        vals = _score(f, np.stack(prepared))
+        total_evals += len(prepared)
+        for i, val in enumerate(vals):
+            if val > best_f:
+                best_f, best_x, winner = float(val), prepared[i], i
 
+    flags = []
     for r in range(budget.restarts):
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,))
@@ -214,14 +267,14 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
             x0 = domain.project(np.asarray(domain.random_point(rng), dtype=float))
         x, val, conv, ev = _sweep_search(f, domain, x0, budget)
         total_evals += ev
-        any_converged = any_converged or conv
+        flags.append(conv)
         if val > best_f:
-            best_f, best_x = val, x
+            best_f, best_x, winner = val, x, r
 
     if homogeneous and domain.to_boundary is not None and best_x is not None:
         xb = domain.to_boundary(best_x)
         if np.all(np.isfinite(xb)) and domain.membership(xb):
-            vb = f(xb)
+            vb = float(_score(f, xb[None])[0])
             total_evals += 1
             if vb >= best_f:
                 best_f, best_x = vb, xb
@@ -229,8 +282,10 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     if best_x is None:
         raise RuntimeError("search produced no candidate point")
     # recompute at the reported witness so value and witness always agree
-    best_f = f(best_x)
-    return best_x, best_f, any_converged, {
+    best_f = float(_score(f, best_x[None])[0])
+    # a seed that no restart started from was never searched to convergence
+    converged = winner is not None and winner < len(flags) and flags[winner]
+    return best_x, best_f, converged, {
         "evals": total_evals,
         "restarts": budget.restarts,
         "domain": domain.label,

@@ -37,6 +37,7 @@ __all__ = [
     "sargent_n",
     "decreasing_rearrangement",
     "evaluate_norm",
+    "evaluate_norms",
     "unit_vector_norm",
     "kothe_dual_spec",
     "dual_norm",
@@ -63,6 +64,12 @@ _FAMILIES = (
 _NU_BUDGET = optim.OptBudget(
     restarts=3, iterations=110, init_step=0.35, shrink=0.55, seed=8675309
 )
+
+
+_TINY = np.finfo(float).tiny
+# the exponent bits of a float64: masking a positive float with them gives
+# the largest power of two not above it
+_EXPONENT = np.int64(0x7FF0000000000000)
 
 
 class SpecValidationError(ValueError):
@@ -282,7 +289,7 @@ class SpaceSpec:
         if fam not in _FAMILIES:
             raise SpecValidationError(f"unknown family {fam!r}")
         if fam == "lp":
-            if self.p is None or (not math.isinf(self.p) and self.p < 1.0):
+            if self.p is None or not (self.p >= 1.0):
                 raise SpecValidationError(f"lp needs p >= 1 or inf, got {self.p!r}")
         elif fam == "c0":
             pass
@@ -299,15 +306,15 @@ class SpaceSpec:
             elif not isinstance(M, OrliczFunction):
                 raise SpecValidationError("orlicz spec needs an OrliczFunction")
         elif fam == "lorentz":
-            if self.weights is None or self.p is None or self.p < 1.0 or math.isinf(self.p):
+            if self.weights is None or self.p is None or not (1.0 <= self.p < math.inf):
                 raise SpecValidationError("lorentz needs weights and finite p >= 1")
             _validate_decreasing_weights(self.weights, "lorentz")
         elif fam == "garling_mu":
-            if self.weights is None or self.p is None or self.p < 1.0 or math.isinf(self.p):
+            if self.weights is None or self.p is None or not (1.0 <= self.p < math.inf):
                 raise SpecValidationError("garling_mu needs weights and finite p >= 1")
             _validate_decreasing_weights(self.weights, "garling_mu")
         elif fam == "garling_nu":
-            if self.weights is None or self.p is None or self.p <= 1.0 or math.isinf(self.p):
+            if self.weights is None or self.p is None or not (1.0 < self.p < math.inf):
                 raise SpecValidationError("garling_nu needs weights and finite p > 1")
             _validate_decreasing_weights(self.weights, "garling_nu")
         elif fam in ("sargent_m", "sargent_n"):
@@ -481,6 +488,28 @@ def _sargent_delta_top(weights: WeightSeq, nnz: int) -> np.ndarray:
     return np.sort(delta)[::-1][:nnz]
 
 
+def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.ndarray:
+    """(sum_j w_j a_j^p)^(1/p) along the last axis of a nonnegative array.
+
+    Each row is computed as mx (sum_j w_j (a_j/mx)^p)^(1/p), with mx its
+    maximum rounded down to a power of two, so no power overflows or
+    underflows: a nonzero row never gets norm 0 and a representable norm is
+    never inf.  Dividing and multiplying by a power of two is exact, so for
+    p = 2 the bits are those of the unscaled formula wherever it is finite.
+    """
+    if p == 1.0:
+        return (A if weights is None else weights * A).sum(axis=-1)
+    mx = A.max(axis=-1, keepdims=True)
+    if math.isinf(p):
+        return mx[..., 0]
+    # the floor keeps zero rows at 0 and only replaces a subnormal maximum
+    scale = np.maximum((mx.view(np.int64) & _EXPONENT).view(np.float64), _TINY)
+    t = (A / scale) ** p
+    if weights is not None:
+        t = weights * t
+    return scale[..., 0] * t.sum(axis=-1) ** (1.0 / p)
+
+
 def _garling_nu_value(spec: SpaceSpec, coeffs, with_witness: bool = False):
     bhat = decreasing_rearrangement(coeffs)
     s = int(np.count_nonzero(bhat))
@@ -497,19 +526,16 @@ def _garling_nu_value(spec: SpaceSpec, coeffs, with_witness: bool = False):
         val = float(A[0] / b[0])
         return (val, np.array([1.0])) if with_witness else val
 
-    def project(v):
-        k = np.minimum.accumulate(np.abs(v))
-        nrm = float(np.sum(k**q)) ** (1.0 / q)
-        if nrm <= 0.0:
-            k = np.full(s, s ** (-1.0 / q))
-            nrm = float(np.sum(k**q)) ** (1.0 / q)
-        return k / nrm
+    def project(V):
+        K = np.minimum.accumulate(np.abs(V), axis=-1)
+        # K is nonincreasing, so it is zero exactly when its first entry is
+        K = np.where(K[..., :1] > 0.0, K, 1.0)
+        return K / _pnorm(K, q)[..., None]
 
-    def objective(k):
-        B = np.cumsum(k * b)
-        if B[0] <= 0.0:
-            return math.inf
-        return float(np.max(A / B))
+    def objective(K):
+        B = np.cumsum(K * b, axis=-1)
+        ok = B[..., 0] > 0.0
+        return np.where(ok, (A / np.where(ok[..., None], B, 1.0)).max(axis=-1), math.inf)
 
     domain = optim.Ball(
         dim=s,
@@ -528,47 +554,52 @@ def _garling_nu_value(spec: SpaceSpec, coeffs, with_witness: bool = False):
     return (res.value, res.witness) if with_witness else res.value
 
 
+def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
+    """Norm of each sequence along the last axis of X, one per leading index.
+
+    The lp, c0, rearrangement and Sargent families are computed for the
+    whole stack at once; Orlicz and the infimum-defined Garling family go
+    row by row.  Each row's value does not depend on the other rows.
+    """
+    A = np.abs(np.asarray(X, dtype=float))
+    n = A.shape[-1]
+    if A.size == 0:
+        return np.zeros(A.shape[:-1])
+    # the maximum is inf or nan exactly when some entry is
+    if not A.max() < math.inf:
+        raise ValueError("sequence entries must be finite")
+    fam = spec.family
+    if fam == "lp":
+        return _pnorm(A, spec.p)
+    if fam == "c0":
+        return A.max(axis=-1)
+    if fam in ("orlicz", "garling_nu"):
+        rows = A.reshape(-1, n)
+        if fam == "orlicz":
+            vals = [_luxemburg(r, spec.orlicz) for r in rows]
+        else:
+            vals = [_garling_nu_value(spec, r) for r in rows]
+        return np.array(vals, dtype=float).reshape(A.shape[:-1])
+    # trailing zeros of the rearrangement add nothing to any of these forms
+    ahat = -np.sort(-A, axis=-1)
+    if fam in ("lorentz", "garling_mu"):
+        return _pnorm(ahat, spec.p, spec.weights.materialize(n))
+    if fam == "sargent_m":
+        return (np.cumsum(ahat, axis=-1) / spec.weights.materialize(n)).max(axis=-1)
+    if fam == "sargent_n":
+        return (ahat * _sargent_delta_top(spec.weights, n)).sum(axis=-1)
+    raise SpecValidationError(f"unknown family {fam!r}")
+
+
 def evaluate_norm(spec: SpaceSpec, coeffs) -> float:
-    """Norm of a finite sequence in the given space.
+    """Norm of a finite sequence in the given space; the one-row evaluate_norms.
 
     Exact closed forms everywhere except the infimum-defined Garling family,
     whose value is a certified upper bound produced by a deterministic inner
     minimization (the reported value is attained by an explicit feasible
     multiplier sequence).
     """
-    arr = _moduli(coeffs)
-    if arr.size == 0 or not np.any(arr):
-        return 0.0
-    fam = spec.family
-    if fam == "lp":
-        if math.isinf(spec.p):
-            return float(np.max(arr))
-        if spec.p == 1.0:
-            return float(np.sum(arr))
-        return float(np.sum(arr**spec.p) ** (1.0 / spec.p))
-    if fam == "c0":
-        return float(np.max(arr))
-    if fam == "orlicz":
-        return _luxemburg(arr, spec.orlicz)
-    if fam in ("lorentz", "garling_mu"):
-        ahat = decreasing_rearrangement(arr)
-        nnz = int(np.count_nonzero(ahat))
-        w = spec.weights.materialize(nnz)
-        return float(np.sum(w * ahat[:nnz] ** spec.p) ** (1.0 / spec.p))
-    if fam == "garling_nu":
-        return float(_garling_nu_value(spec, arr))
-    if fam == "sargent_m":
-        ahat = decreasing_rearrangement(arr)
-        nnz = int(np.count_nonzero(ahat))
-        phi = spec.weights.materialize(nnz)
-        partial = np.cumsum(ahat[:nnz])
-        return float(np.max(partial / phi))
-    if fam == "sargent_n":
-        ahat = decreasing_rearrangement(arr)
-        nnz = int(np.count_nonzero(ahat))
-        dtop = _sargent_delta_top(spec.weights, nnz)
-        return float(np.dot(ahat[:nnz], dtop))
-    raise SpecValidationError(f"unknown family {fam!r}")
+    return float(evaluate_norms(spec, np.asarray(coeffs, dtype=float).reshape(1, -1))[0])
 
 
 def unit_vector_norm(spec: SpaceSpec, n: int) -> float:
@@ -617,20 +648,16 @@ def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
     """
     length = int(length)
 
-    def nrm(v):
-        return evaluate_norm(spec, v)
-
-    def project(v):
-        n = nrm(v)
-        return v if n <= 1.0 else v / n
+    def project(V):
+        return V / np.maximum(evaluate_norms(spec, V), 1.0)[..., None]
 
     def to_boundary(v):
-        n = nrm(v)
+        n = evaluate_norm(spec, v)
         return v if n == 0.0 else v / n
 
     def random_point(rng):
         v = rng.standard_normal(length)
-        n = nrm(v)
+        n = evaluate_norm(spec, v)
         if n == 0.0:
             return v
         return v / n * rng.uniform(0.3, 1.0)
@@ -638,7 +665,7 @@ def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
     return optim.Ball(
         dim=length,
         project=project,
-        membership=lambda v: nrm(v) <= 1.0 + 1e-9,
+        membership=lambda v: evaluate_norm(spec, v) <= 1.0 + 1e-9,
         random_point=random_point,
         to_boundary=to_boundary,
         label=f"ball[{spec.label()}]",
@@ -745,8 +772,8 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
                                bound_direction="lower-of-sup", converged=True)
     ball = space_ball(spec, beta.size)
 
-    def objective(alpha):
-        return float(np.sum(np.abs(alpha * beta)))
+    def objective(alphas):
+        return np.abs(alphas * beta).sum(axis=-1)
 
     seeds = [ball.project(s) for s in _pairing_seeds(spec, beta)]
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
@@ -774,8 +801,6 @@ def nip_check(spec: SpaceSpec, array) -> NipReport:
     A = np.asarray(array, dtype=float)
     if A.ndim != 2:
         raise ValueError("nip_check expects a 2-d array")
-    row_norms = [evaluate_norm(spec, A[i]) for i in range(A.shape[0])]
-    col_norms = [evaluate_norm(spec, A[:, j]) for j in range(A.shape[1])]
-    rv = evaluate_norm(spec, row_norms)
-    cv = evaluate_norm(spec, col_norms)
+    rv = evaluate_norm(spec, evaluate_norms(spec, A))
+    cv = evaluate_norm(spec, evaluate_norms(spec, A.T))
     return NipReport(row_value=rv, col_value=cv, gap=abs(rv - cv))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import optim, spaces, vector_norms as vn
 from .optim import Ball, OptBudget, Witnessed
-from .spaces import SpaceSpec, evaluate_norm
+from .spaces import SpaceSpec, evaluate_norms
 from .vector_norms import NormOracle, VectorSequence
 
 __all__ = [
@@ -90,12 +90,6 @@ def rank_one_operator(domain: NormOracle, codomain: NormOracle,
 # Operator norms between the oracles themselves
 
 
-def _cod_spec(oracle: NormOracle) -> SpaceSpec:
-    if oracle.p is None:
-        raise ValueError(f"oracle {oracle.label} has no lp structure")
-    return spaces.lp(oracle.p)
-
-
 def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witnessed:
     """Operator norm, exact for the built-in formula cases.
 
@@ -111,19 +105,19 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
         return Witnessed(value=0.0, witness=np.zeros(d), bound_direction="exact",
                          converged=True)
     if dom_p == 1.0:
-        vals = [cod.norm(M[:, j]) for j in range(d)]
+        vals = vn.row_lengths(cod, M.T)
         j = int(np.argmax(vals))
         w = np.zeros(d)
         w[j] = 1.0
         return Witnessed(value=float(vals[j]), witness=w, bound_direction="exact",
                          converged=True)
-    if dom_p is not None and math.isinf(dom_p) and d <= 12:
+    if math.isinf(dom_p) and d <= 12:
         S = vn._sign_vectors(d)
-        vals = [cod.norm(M @ s) for s in S]
+        vals = vn.row_lengths(cod, S @ M.T)
         i = int(np.argmax(vals))
         return Witnessed(value=float(vals[i]), witness=S[i], bound_direction="exact",
                          converged=True)
-    if dom_p == 2.0 and cod.p in (1.0, 2.0) or dom_p == 2.0 and math.isinf(cod.p or 0):
+    if dom_p == 2.0 and (cod.p in (1.0, 2.0) or math.isinf(cod.p)):
         if cod.p == 2.0:
             U, s, Vt = np.linalg.svd(M)
             return Witnessed(value=float(s[0]), witness=Vt[0],
@@ -143,8 +137,8 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
             return Witnessed(value=float(vals[i]), witness=w,
                              bound_direction="exact", converged=True)
 
-    def objective(x):
-        return cod.norm(M @ x)
+    def objective(X):
+        return vn.row_lengths(cod, X @ M.T)
 
     seeds = []
     try:
@@ -161,9 +155,7 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
 
 def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
     """Certified upper bound of the operator norm between lp oracles."""
-    val, grade = vn.operator_norm_upper(T.entries, T.domain, _cod_spec(T.codomain))
-    if grade == "heuristic":
-        raise ValueError("no certified operator-norm bound for this oracle pair")
+    val, _ = vn.operator_norm_upper(T.entries, T.domain, spaces.lp(T.codomain.p))
     return val
 
 
@@ -177,29 +169,11 @@ def _weak_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
     dual_oracle = dom.flip()
 
     def handle(flat):
-        X = flat.reshape(n, d)
-        bound = evaluate_norm(spec, vn.row_lengths(dom, X))
-        val, grade = vn.operator_norm_upper(X, dual_oracle, spec)
-        if grade != "heuristic":
-            bound = min(bound, val)
-        return bound
+        X = flat.reshape(flat.shape[:-1] + (n, d))
+        val, _ = vn.operator_norm_upper(X, dual_oracle, spec)
+        return np.minimum(evaluate_norms(spec, vn.row_lengths(dom, X)), val)
 
-    def project(flat):
-        h = handle(flat)
-        return flat if h <= 1.0 else flat / h
-
-    def to_boundary(flat):
-        h = handle(flat)
-        return flat if h == 0.0 else flat / h
-
-    return Ball(
-        dim=n * d,
-        project=project,
-        membership=lambda flat: handle(flat) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(n * d)),
-        to_boundary=to_boundary,
-        label=f"weakball[{dom.label}^{n}]",
-    )
+    return _handle_ball(handle, n * d, f"weakball[{dom.label}^{n}]")
 
 
 def _strong_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
@@ -207,23 +181,28 @@ def _strong_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
     d = dom.dim
 
     def handle(flat):
-        return evaluate_norm(spec, vn.row_lengths(dom, flat.reshape(n, d)))
+        return evaluate_norms(spec, vn.row_lengths(dom, flat.reshape(flat.shape[:-1] + (n, d))))
+
+    return _handle_ball(handle, n * d, f"strongball[{dom.label}^{n}]")
+
+
+def _handle_ball(handle, dim: int, label: str) -> Ball:
+    """Points whose handle, a certified stacked gauge, is at most 1."""
 
     def project(flat):
-        h = handle(flat)
-        return flat if h <= 1.0 else flat / h
+        return flat / np.maximum(handle(flat), 1.0)[..., None]
 
     def to_boundary(flat):
-        h = handle(flat)
+        h = float(handle(flat))
         return flat if h == 0.0 else flat / h
 
     return Ball(
-        dim=n * d,
+        dim=dim,
         project=project,
-        membership=lambda flat: handle(flat) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(n * d)),
+        membership=lambda flat: float(handle(flat)) <= 1.0 + 1e-9,
+        random_point=lambda rng: project(rng.standard_normal(dim)),
         to_boundary=to_boundary,
-        label=f"strongball[{dom.label}^{n}]",
+        label=label,
     )
 
 
@@ -253,10 +232,10 @@ def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:
     return [ball.project(s) for s in seeds]
 
 
-def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int) -> float:
-    X = flat.reshape(n, T.domain.dim)
-    imgs = X @ T.entries.T
-    return evaluate_norm(spec, vn.row_lengths(T.codomain, imgs))
+def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
+    """Strong norm of the images (T x_i)_i, for one flat sequence or a stack."""
+    X = flat.reshape(flat.shape[:-1] + (n, T.domain.dim))
+    return evaluate_norms(spec, vn.row_lengths(T.codomain, X @ T.entries.T))
 
 
 def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
@@ -343,10 +322,10 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     domain = optim.concat_domain([op_ball, xs_ball], label="w-mid")
 
     def objective(flat):
-        S = flat[: m * e].reshape(m, e)
-        X = flat[m * e:].reshape(n, d)
-        imgs = X @ T.entries.T @ S.T
-        return evaluate_norm(spec, [evaluate_norm(spec, row) for row in imgs])
+        S = flat[..., : m * e].reshape(flat.shape[:-1] + (m, e))
+        X = flat[..., m * e:].reshape(flat.shape[:-1] + (n, d))
+        imgs = X @ T.entries.T @ np.swapaxes(S, -1, -2)
+        return evaluate_norms(spec, evaluate_norms(spec, imgs))
 
     # rank-one S sending the top image direction to the first coordinate
     try:
@@ -393,7 +372,7 @@ def strong_mid_witness_check(spec: SpaceSpec, T: OperatorMatrix,
     """
     n = result.details.get("n")
     flat = result.witness
-    lhs = _image_strong(spec, T, flat, n)
+    lhs = float(_image_strong(spec, T, flat, n))
     handle = vn.strong_norm(spec, VectorSequence(T.domain,
                                                  flat.reshape(n, T.domain.dim)))
     rhs = result.value * handle + _CHECK_TOL
@@ -411,7 +390,7 @@ def mid_weak_witness_check(spec: SpaceSpec, T: OperatorMatrix,
     S = flat[:split].reshape(m, e)
     X = flat[split:].reshape(n, d)
     imgs = X @ T.entries.T @ S.T
-    lhs = evaluate_norm(spec, [evaluate_norm(spec, row) for row in imgs])
+    lhs = float(evaluate_norms(spec, evaluate_norms(spec, imgs)))
     handle = vn.weak_norm_upper(spec, VectorSequence(T.domain, X))
     rhs = result.value * handle + _CHECK_TOL
     return WitnessCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs, label="mid-vs-weak")
@@ -447,9 +426,9 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
     flat = res.witness
     X = flat.reshape(n, S.domain.dim)
 
-    lhs_a = _image_strong(spec, comp, flat, n)
+    lhs_a = float(_image_strong(spec, comp, flat, n))
     r_up = operator_norm_upper_matrix(R)
-    rhs_a = r_up * _image_strong(spec, TS, flat, n) + _CHECK_TOL
+    rhs_a = r_up * float(_image_strong(spec, TS, flat, n)) + _CHECK_TOL
     left = WitnessCheck(lhs=lhs_a, rhs=rhs_a, ok=lhs_a <= rhs_a,
                         label="outer-factor")
 

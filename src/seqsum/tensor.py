@@ -23,7 +23,7 @@ import numpy as np
 
 from . import optim, spaces, vector_norms as vn
 from .optim import Ball, OptBudget, Witnessed
-from .spaces import SpaceSpec, evaluate_norm
+from .spaces import SpaceSpec, evaluate_norm, evaluate_norms
 from .summing import OperatorMatrix
 from .vector_norms import NormOracle, VectorSequence
 
@@ -110,37 +110,52 @@ def _require_dual(spec: SpaceSpec) -> SpaceSpec:
 
 
 def _base_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced rank-r factorization X0^T Y0 = E from the SVD (deterministic)."""
-    d, e = E.shape
+    """Balanced rank-r factorization X0^T Y0 = E from the SVD (deterministic).
+
+    E may be a stack of matrices along leading axes.
+    """
+    d, e = E.shape[-2:]
     P, s, Qt = np.linalg.svd(E)
     k = min(d, e)
-    if r < k and s[r:].max(initial=0.0) > _RESIDUAL_TOL:
+    if r < k and s[..., r:].max(initial=0.0) > _RESIDUAL_TOL:
         raise ValueError(f"rank budget {r} cannot reconstruct a rank-{int(np.sum(s > _RESIDUAL_TOL))} tensor")
-    root = np.sqrt(s[: min(r, k)])
-    X0 = np.zeros((r, d))
-    Y0 = np.zeros((r, e))
-    X0[: root.size] = (P[:, : root.size] * root).T
-    Y0[: root.size] = (root[:, None] * Qt[: root.size])
+    t = min(r, k)
+    root = np.sqrt(s[..., :t])
+    X0 = np.zeros(E.shape[:-2] + (r, d))
+    Y0 = np.zeros(E.shape[:-2] + (r, e))
+    X0[..., :t, :] = np.swapaxes(P[..., :, :t] * root[..., None, :], -1, -2)
+    Y0[..., :t, :] = root[..., :, None] * Qt[..., :t, :]
     return X0, Y0
 
 
 def _mixed_block(X0: np.ndarray, Y0: np.ndarray, V: np.ndarray):
-    """Apply the invertible mixing I+V: reconstruction is unchanged exactly."""
-    r = X0.shape[0]
+    """Apply the invertible mixing I+V: reconstruction is unchanged exactly.
+
+    V may be a stack of mixings.  Returns (Xm, Ym, ok), where ok marks the
+    mixings that are invertible with finite factors; the others are zeroed.
+    """
+    r = X0.shape[-2]
     A = np.eye(r) + V
+    At = np.swapaxes(A, -1, -2)
     try:
-        Xm = np.linalg.solve(A.T, X0)
-        Ym = A @ Y0
+        Xm = np.linalg.solve(At, X0)
     except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(Xm)) and np.all(np.isfinite(Ym))):
-        return None
-    return Xm, Ym
+        # one singular mixing fails the whole stacked solve
+        Xm = np.full(A.shape[:-2] + X0.shape[-2:], math.nan)
+        for i in np.ndindex(A.shape[:-2]):
+            try:
+                Xm[i] = np.linalg.solve(At[i], X0[i] if X0.ndim > 2 else X0)
+            except np.linalg.LinAlgError:
+                pass
+    Ym = A @ Y0
+    ok = np.isfinite(Xm).all(axis=(-2, -1)) & np.isfinite(Ym).all(axis=(-2, -1))
+    mask = ok[..., None, None]
+    return np.where(mask, Xm, 0.0), np.where(mask, Ym, 0.0), ok
 
 
-def _block_cost(spec, dual_spec, u: Tensor, Xm, Ym) -> float:
-    lx = evaluate_norm(spec, vn.row_lengths(u.domain, Xm))
-    ly = evaluate_norm(dual_spec, vn.row_lengths(u.codomain, Ym))
+def _block_cost(spec, dual_spec, u: Tensor, Xm, Ym):
+    lx = evaluate_norms(spec, vn.row_lengths(u.domain, Xm))
+    ly = evaluate_norms(dual_spec, vn.row_lengths(u.codomain, Ym))
     return lx * ly
 
 
@@ -163,10 +178,8 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None, m: int = 4,
     X0, Y0 = _base_factors(E, r)
 
     def objective(flat):
-        mixed = _mixed_block(X0, Y0, flat.reshape(r, r))
-        if mixed is None:
-            return math.inf
-        return _block_cost(spec, dual_spec, u, *mixed)
+        Xm, Ym, ok = _mixed_block(X0, Y0, flat.reshape(flat.shape[:-1] + (r, r)))
+        return np.where(ok, _block_cost(spec, dual_spec, u, Xm, Ym), math.inf)
 
     domain = optim.free_domain(r * r, scale=0.4, label="mixing")
     seeds = [np.zeros(r * r)]
@@ -213,42 +226,31 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
     B = blocks
     free = (B - 1) * d * e
 
-    def decode(flat):
-        Ws = [flat[b * d * e:(b + 1) * d * e].reshape(d, e) for b in range(B - 1)]
-        V = flat[free:].reshape(r, r)
-        return Ws, V
-
     def block_pieces(flat):
-        Ws, V = decode(flat)
-        last = E - np.sum(Ws, axis=0) if Ws else E
-        out = []
-        for W in Ws:
-            if not np.any(W):
-                continue
-            Xb, Yb = _base_factors(W, min(d, e))
-            out.append((Xb, Yb))
-        X0, Y0 = _base_factors(last, r)
-        mixed = _mixed_block(X0, Y0, V)
-        if mixed is None:
-            return None
-        out.append(mixed)
-        return out
+        """Factors of the free blocks, stacked on the block axis, and of the last."""
+        lead = flat.shape[:-1]
+        Ws = flat[..., :free].reshape(lead + (B - 1, d, e))
+        V = flat[..., free:].reshape(lead + (r, r))
+        X0, Y0 = _base_factors(E - Ws.sum(axis=-3), r)
+        return _base_factors(Ws, min(d, e)), _mixed_block(X0, Y0, V)
 
     def objective(flat):
-        pieces = block_pieces(flat)
-        if pieces is None:
-            return math.inf
-        return sum(_block_cost(spec, dual_spec, u, Xb, Yb) for Xb, Yb in pieces)
+        (Xb, Yb), (Xm, Ym, ok) = block_pieces(flat)
+        # a zero free block has zero factors and adds nothing to the cost
+        cost = _block_cost(spec, dual_spec, u, Xb, Yb).sum(axis=-1)
+        return np.where(ok, cost + _block_cost(spec, dual_spec, u, Xm, Ym), math.inf)
 
     domain = optim.free_domain(free + r * r, scale=0.3, label="blocks")
     seed = np.zeros(free + r * r)
     if single_block.witness is not None and single_block.witness.size == r * r:
         seed[free:] = single_block.witness
     res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[seed])
-    pieces = block_pieces(res.witness)
+    (Xb, Yb), (Xm, Ym, _) = block_pieces(res.witness)
+    Ws = res.witness[:free].reshape(B - 1, d, e)
+    pieces = [(Xb[b], Yb[b]) for b in range(B - 1) if np.any(Ws[b])] + [(Xm, Ym)]
     rep = Representation(blocks=tuple(
-        (VectorSequence(u.domain, Xb), VectorSequence(u.codomain, Yb))
-        for Xb, Yb in pieces
+        (VectorSequence(u.domain, X), VectorSequence(u.codomain, Y))
+        for X, Y in pieces
     ))
     if rep.residual(u) > _RESIDUAL_TOL:
         raise ValueError("representation failed to reconstruct the tensor")
@@ -270,7 +272,8 @@ def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:
     domain = optim.concat_domain([fball, gball], label="inj")
 
     def objective(flat):
-        return abs(float(flat[:d] @ E @ flat[d:]))
+        f, g = flat[..., None, :d], flat[..., d:, None]
+        return np.abs((f @ E @ g)[..., 0, 0])
 
     seeds = []
     try:
@@ -294,7 +297,7 @@ def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:
     fb, gb = fball.to_boundary(f), gball.to_boundary(g)
     cand = np.concatenate([fb, gb])
     if domain.membership(cand):
-        val = objective(cand)
+        val = float(objective(cand))
         if val >= res.value:
             res.value, res.witness = val, cand
     return res
@@ -330,11 +333,11 @@ def trace_duality_check(spec: SpaceSpec, T: OperatorMatrix, u: Tensor,
         raise ValueError("operator dimensions do not match the tensor factors")
     phi = 0.0
     bound = 0.0
-    dual_len = u.domain.dual_norm
+    dual_oracle = u.domain.flip()
     for xs, ys in rep.blocks:
         imgs = ys.vectors @ T.entries.T  # row j holds T y_j, an X* vector
         phi += float(np.sum(xs.vectors * imgs))
-        img_strong = evaluate_norm(dual_spec, [dual_len(row) for row in imgs])
+        img_strong = evaluate_norm(dual_spec, vn.row_lengths(dual_oracle, imgs))
         bound += img_strong * vn.strong_norm(spec, xs)
     ok = abs(phi) <= bound + 1e-9
     ratio = None

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import optim, spaces
 from .optim import Ball, OptBudget, Witnessed
-from .spaces import SpaceSpec, evaluate_norm
+from .spaces import SpaceSpec, evaluate_norm, evaluate_norms
 
 __all__ = [
     "NormOracle",
@@ -32,7 +32,6 @@ __all__ = [
     "weak_norm_upper",
     "weak_star_norm",
     "mid_norm",
-    "mid_norm_functional",
     "chain_check",
     "ChainReport",
     "limited_bound_profile",
@@ -46,87 +45,64 @@ _SIGN_ENUM_LIMIT = 12
 
 @dataclass(frozen=True)
 class NormOracle:
-    """Finite-dimensional normed space given by its norm and dual norm.
+    """The finite-dimensional space l_p^dim, with its unit ball and dual ball.
 
-    p is set for the built-in lp oracles and unlocks exact operator-norm
-    formulas; general oracles leave it None and fall back to estimated
-    feasibility with a safety deflation.
+    p selects the exact operator-norm formulas of operator_norm_upper; an
+    oracle without one is rejected.
     """
 
     dim: int
-    norm: object  # vector -> nonnegative real
-    dual_norm: object
+    p: float
     label: str = "oracle"
-    p: float | None = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("oracle dimension must be >= 1")
+        if self.p is None or not (self.p >= 1.0):
+            raise ValueError(f"oracle needs p >= 1 or inf, got {self.p!r}")
 
     def flip(self) -> "NormOracle":
-        q = None if self.p is None else spaces.conjugate_exponent(self.p)
-        return NormOracle(dim=self.dim, norm=self.dual_norm, dual_norm=self.norm,
-                          label=f"dual[{self.label}]", p=q)
+        return NormOracle(dim=self.dim, p=spaces.conjugate_exponent(self.p),
+                          label=f"dual[{self.label}]")
 
-    def _ball_of(self, nrm) -> Ball:
+    def norm(self, v) -> float:
+        return float(row_lengths(self, v))
+
+    def _ball_of(self, oracle: "NormOracle") -> Ball:
         dim = self.dim
 
-        def project(v):
-            n = nrm(v)
-            return v if n <= 1.0 else v / n
+        def project(V):
+            return V / np.maximum(row_lengths(oracle, V), 1.0)[..., None]
 
         def to_boundary(v):
-            n = nrm(v)
+            n = oracle.norm(v)
             return v if n == 0.0 else v / n
 
         return Ball(
             dim=dim,
             project=project,
-            membership=lambda v: nrm(v) <= 1.0 + 1e-9,
+            membership=lambda v: oracle.norm(v) <= 1.0 + 1e-9,
             random_point=lambda rng: project(rng.standard_normal(dim)),
             to_boundary=to_boundary,
             label=f"ball[{self.label}]",
         )
 
     def ball(self) -> Ball:
-        return self._ball_of(self.norm)
+        return self._ball_of(self)
 
     def dual_ball(self) -> Ball:
-        return self._ball_of(self.dual_norm)
-
-
-def _lp_norm(p: float):
-    if math.isinf(p):
-        return lambda v: float(np.max(np.abs(v))) if np.size(v) else 0.0
-    if p == 1.0:
-        return lambda v: float(np.sum(np.abs(v)))
-    return lambda v: float(np.sum(np.abs(v) ** p) ** (1.0 / p))
+        return self._ball_of(self.flip())
 
 
 def lp_oracle(p: float, dim: int) -> NormOracle:
     p = float(p)
-    if not math.isinf(p) and p < 1.0:
-        raise ValueError("lp oracle needs p >= 1")
-    q = spaces.conjugate_exponent(p)
     name = "linf" if math.isinf(p) else f"l{p:g}"
-    return NormOracle(dim=dim, norm=_lp_norm(p), dual_norm=_lp_norm(q),
-                      label=f"{name}:{dim}", p=p)
+    return NormOracle(dim=dim, p=p, label=f"{name}:{dim}")
 
 
-def row_lengths(oracle: NormOracle, M: np.ndarray) -> np.ndarray:
-    """Oracle norm of each row, vectorized for the lp oracles."""
-    M = np.atleast_2d(M)
-    if M.shape[0] == 0:
-        return np.zeros(0)
-    p = oracle.p
-    if p is None:
-        return np.array([oracle.norm(v) for v in M])
-    A = np.abs(M)
-    if math.isinf(p):
-        return A.max(axis=1)
-    if p == 1.0:
-        return A.sum(axis=1)
-    return (A**p).sum(axis=1) ** (1.0 / p)
+def row_lengths(oracle: NormOracle, M) -> np.ndarray:
+    """Oracle norm of each row: along the last axis, with any leading axes."""
+    return spaces._pnorm(np.abs(np.asarray(M, dtype=float)), oracle.p)
 
 
 def oracle_from_label(label: str) -> NormOracle:
@@ -185,99 +161,78 @@ def _sign_vectors(k: int) -> np.ndarray:
     return np.array([(1.0,) + c for c in combos])
 
 
-def _l2_to_lp_upper(M: np.ndarray, r: float) -> tuple[float, str]:
-    sv = float(np.linalg.svd(M, compute_uv=False)[0]) if M.size else 0.0
+def _l2_to_lp_upper(M: np.ndarray, r: float):
+    sv = np.linalg.svd(M, compute_uv=False)[..., 0]
     if r == 2.0:
         return sv, "exact"
-    row2 = np.sqrt(np.sum(M * M, axis=1))
+    row2 = np.sqrt(np.sum(M * M, axis=-1))
     if math.isinf(r):
-        return float(np.max(row2)), "exact"
-    m = M.shape[0]
+        return row2.max(axis=-1), "exact"
+    m = M.shape[-2]
     if r == 1.0:
         if m <= _SIGN_ENUM_LIMIT:
             S = _sign_vectors(m)
-            vals = np.sqrt(np.sum((S @ M) ** 2, axis=1))
-            return float(np.max(vals)), "exact"
+            return np.sqrt(np.sum((S @ M) ** 2, axis=-1)).max(axis=-1), "exact"
         return math.sqrt(m) * sv, "certified"
     if r > 2.0:
         # pointwise |y|_r <= |y|_2^(2/r) |y|_inf^(1-2/r)
-        to_inf = float(np.max(row2))
         t = 2.0 / r
-        return sv**t * to_inf ** (1.0 - t), "certified"
+        return sv**t * row2.max(axis=-1) ** (1.0 - t), "certified"
     # 1 < r < 2: |y|_r <= |y|_1^th |y|_2^(1-th), th = 2/r - 1
     to_one, _ = _l2_to_lp_upper(M, 1.0)
     th = 2.0 / r - 1.0
     return to_one**th * sv ** (1.0 - th), "certified"
 
 
-def _ascent_lower(M: np.ndarray, dom: NormOracle, cod: SpaceSpec) -> float:
-    def objective(x):
-        return evaluate_norm(cod, M @ x)
-
-    res = optim.maximize_over_ball(
-        objective, dom.ball(),
-        budget=OptBudget(restarts=3, iterations=80, seed=4242),
-        homogeneous=True,
-    )
-    return res.value
-
-
-def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec) -> tuple[float, str]:
+def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     """Upper bound for the norm of x -> Mx from dom into the scalar space.
 
-    Returns (value, grade) with grade "exact" (the bound is the norm),
-    "certified" (true upper bound, possibly loose), or "heuristic" (ascent
-    estimate inflated by 5%, used only for oracles without an lp structure).
+    M is one matrix or a stack of them along leading axes; the value is a
+    float or an array of the stack's shape.  Returns (value, grade) with
+    grade "exact" (the bound is the norm, for every matrix of a stack) or
+    "certified" (a true upper bound, possibly loose).
     """
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2:
+        M = np.atleast_2d(M)
+    one = M.ndim == 2
     if M.size == 0 or not np.any(M):
-        return 0.0, "exact"
+        return (0.0 if one else np.zeros(M.shape[:-2])), "exact"
+    d = M.shape[-1]
     p = dom.p
     if p == 1.0:
-        cols = [evaluate_norm(cod, M[:, j]) for j in range(M.shape[1])]
-        return float(np.max(cols)), "exact"
-    if p is not None and math.isinf(p):
-        d = M.shape[1]
+        val, grade = evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1), "exact"
+    elif math.isinf(p):
         if d <= _SIGN_ENUM_LIMIT:
-            S = _sign_vectors(d)
-            vals = [evaluate_norm(cod, M @ s) for s in S]
-            return float(np.max(vals)), "exact"
-        cols = [evaluate_norm(cod, M[:, j]) for j in range(M.shape[1])]
-        return float(d * np.max(cols)), "certified"
-    if p == 2.0:
-        if cod.family == "lp":
-            return _l2_to_lp_upper(M, cod.p)
-        if cod.family == "c0":
-            return _l2_to_lp_upper(M, math.inf)
-        # normality: |(Mx)_i| <= |row_i|_2 |x|_2
-        row2 = np.sqrt(np.sum(M * M, axis=1))
-        val = evaluate_norm(cod, row2)
-        grade = "exact" if np.count_nonzero(row2) <= 1 else "certified"
-        return val, grade
-    if p is not None:
+            # column s of M S^T is M s, one image per sign vector
+            imgs = np.swapaxes(M @ _sign_vectors(d).T, -1, -2)
+            val, grade = evaluate_norms(cod, imgs).max(axis=-1), "exact"
+        else:
+            cols = evaluate_norms(cod, np.swapaxes(M, -1, -2))
+            val, grade = d * cols.max(axis=-1), "certified"
+    elif p == 2.0:
+        if cod.family in ("lp", "c0"):
+            val, grade = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
+        else:
+            # normality: |(Mx)_i| <= |row_i|_2 |x|_2
+            row2 = np.sqrt(np.sum(M * M, axis=-1))
+            val = evaluate_norms(cod, row2)
+            grade = "exact" if np.all(np.count_nonzero(row2, axis=-1) <= 1) else "certified"
+    else:
         # route through l2 or linf, whichever embedding constant is smaller
-        d = M.shape[1]
         via2, _ = operator_norm_upper(M, lp_oracle(2.0, d), cod)
         c2 = 1.0 if p <= 2.0 else d ** (0.5 - 1.0 / p)
         viainf, _ = operator_norm_upper(M, lp_oracle(math.inf, d), cod)
-        return float(min(c2 * via2, viainf)), "certified"
-    est = _ascent_lower(M, dom, cod)
-    return 1.05 * est, "heuristic"
+        val, grade = np.minimum(c2 * via2, viainf), "certified"
+    return (float(val) if one else val), grade
 
 
 # ---------------------------------------------------------------------------
 # The four norms
 
 
-def _check_membership(xs: VectorSequence, spec: SpaceSpec):
-    if not isinstance(spec, SpaceSpec):
-        raise TypeError("first argument must be a SpaceSpec")
-    return xs
-
-
 def strong_norm(spec: SpaceSpec, xs: VectorSequence) -> float:
     """Scalar-space norm of the sequence of vector lengths.  Exact."""
-    _check_membership(xs, spec)
     return evaluate_norm(spec, xs.lengths())
 
 
@@ -308,12 +263,11 @@ def weak_norm(spec: SpaceSpec, xs: VectorSequence,
 
     Witness is the functional f, reported as its coefficient vector.
     """
-    _check_membership(xs, spec)
     A = xs.vectors
     ball = xs.oracle.dual_ball()
 
-    def objective(f):
-        return evaluate_norm(spec, A @ f)
+    def objective(F):
+        return evaluate_norms(spec, (A @ F[..., None])[..., 0])
 
     seeds = _weak_seeds(xs, ball)
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
@@ -327,13 +281,8 @@ def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
     the dual space; its operator norm bounds the weak norm, and the strong
     norm bounds it as well by normality.  The smaller certified bound wins.
     """
-    _check_membership(xs, spec)
-    bounds = [strong_norm(spec, xs)]
-    dual_oracle = xs.oracle.flip()
-    val, grade = operator_norm_upper(xs.vectors, dual_oracle, spec)
-    if grade != "heuristic":
-        bounds.append(val)
-    return float(min(bounds))
+    val, _ = operator_norm_upper(xs.vectors, xs.oracle.flip(), spec)
+    return float(min(strong_norm(spec, xs), val))
 
 
 def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
@@ -352,19 +301,18 @@ def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
     dual = dom.flip()
 
     def kappa(flat):
-        T = flat.reshape(m, d)
+        T = flat.reshape(flat.shape[:-1] + (m, d))
         val, _ = operator_norm_upper(T, dom, cod)
         # row-wise handle: ||T|| <= scalar norm of the row dual norms, by
         # normality; both bounds are certified, the smaller one rules
-        coarse = evaluate_norm(cod, row_lengths(dual, T))
-        return min(val, float(coarse))
+        coarse = evaluate_norms(cod, row_lengths(dual, T))
+        return np.minimum(val, coarse)
 
     def project(flat):
-        k = kappa(flat)
-        return flat if k <= 1.0 else flat / k
+        return flat / np.maximum(kappa(flat), 1.0)[..., None]
 
     def to_boundary(flat):
-        k = kappa(flat)
+        k = float(kappa(flat))
         return flat if k == 0.0 else flat / k
 
     def random_point(rng):
@@ -373,7 +321,7 @@ def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
     return Ball(
         dim=m * d,
         project=project,
-        membership=lambda flat: kappa(flat) <= 1.0 + 1e-9,
+        membership=lambda flat: float(kappa(flat)) <= 1.0 + 1e-9,
         random_point=random_point,
         to_boundary=to_boundary,
         label=f"opball[{dom.label}->{cod.label()}^{m}]",
@@ -426,7 +374,6 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     nondecreasing in m when searches are seeded with padded smaller-m
     witnesses.
     """
-    _check_membership(xs, spec)
     if m < 1:
         raise ValueError("truncation length m must be >= 1")
     if weak_witness is None:
@@ -436,9 +383,9 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     A = xs.vectors
 
     def objective(flat):
-        T = flat.reshape(m, d)
-        imgs = A @ T.T  # row n holds T x_n
-        return evaluate_norm(spec, [evaluate_norm(spec, row) for row in imgs])
+        T = flat.reshape(flat.shape[:-1] + (m, d))
+        imgs = A @ np.swapaxes(T, -1, -2)  # row n holds T x_n
+        return evaluate_norms(spec, evaluate_norms(spec, imgs))
 
     seeds = _mid_seeds(spec, xs, m, ball, weak_witness)
     for s in (extra_seeds or []):
@@ -449,57 +396,6 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     _, grade = operator_norm_upper(res.witness.reshape(m, d), xs.oracle, spec)
     res.details["feasibility_grade"] = grade
     return res
-
-
-def mid_norm_functional(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
-                        budget: OptBudget | None = None,
-                        weak_witness: np.ndarray | None = None) -> Witnessed:
-    """The mid value through its functional-sequence parametrization.
-
-    Same feasible set as mid_norm: a tuple of m functionals constrained by
-    the certified handle on its induced operator, which is what the
-    weak-star norm of the tuple is under the tuple/operator identification.
-    Serves as a bookkeeping cross-check of mid_norm through the other
-    coding; values agree to optimizer resolution, not exactly.
-    """
-    _check_membership(xs, spec)
-    if weak_witness is None:
-        weak_witness = weak_norm(spec, xs, budget=budget).witness
-    d = xs.oracle.dim
-    dual = xs.oracle.flip()
-
-    def handle(flat):
-        F = flat.reshape(m, d)
-        coarse = evaluate_norm(spec, row_lengths(dual, F))
-        val, _ = operator_norm_upper(F, xs.oracle, spec)
-        return min(float(coarse), val)
-
-    def project(flat):
-        h = handle(flat)
-        return flat if h <= 1.0 else flat / h
-
-    def to_boundary(flat):
-        h = handle(flat)
-        return flat if h == 0.0 else flat / h
-
-    ball = Ball(
-        dim=m * d,
-        project=project,
-        membership=lambda flat: handle(flat) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(m * d)),
-        to_boundary=to_boundary,
-        label=f"fnball[{xs.oracle.label}^{m}]",
-    )
-    A = xs.vectors
-
-    def objective(flat):
-        F = flat.reshape(m, d)
-        traces = A @ F.T
-        return evaluate_norm(spec, [evaluate_norm(spec, row) for row in traces])
-
-    seeds = _mid_seeds(spec, xs, m, ball, weak_witness)
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True)
 
 
 @dataclass(frozen=True)
@@ -559,5 +455,5 @@ def limited_bound_profile(spec: SpaceSpec, xs: VectorSequence,
     if xs.oracle.dim != fs.oracle.dim:
         raise ValueError("xs and fs live over different dimensions")
     traces = fs.vectors @ xs.vectors.T  # row j holds (f_j(x_n))_n
-    beta = np.array([evaluate_norm(spec, row) for row in traces])
+    beta = evaluate_norms(spec, traces)
     return BoundProfile(values=beta, total=evaluate_norm(spec, beta))

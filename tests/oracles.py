@@ -195,3 +195,40 @@ def spectral_norm_grid_oracle(M, grid: int = 2880) -> float:
         v = np.array([math.cos(th), math.sin(th)])
         best = max(best, float(np.linalg.norm(M @ v)))
     return best
+
+
+def sequential_sweep_search(objective, domain, x0, budget):
+    """Compass search with the one-candidate-at-a-time poll.
+
+    The reference for the speculative poll of optim._sweep_search: each
+    candidate is built, projected and scored on its own, as the one-row
+    stack C[i:i+1], and the sweep moves on at the first improvement.
+    Returns (best_x, best_f, converged, evals).
+    """
+    x = domain.project(np.array(x0, dtype=float))
+    best = float(objective(x[None])[0])
+    step = budget.init_step
+    evals = 1
+    converged = False
+    for _ in range(budget.iterations):
+        moved = False
+        for i in range(domain.dim):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[i] += sign * step
+                cand = domain.project(cand[None])
+                f = float(objective(cand)[0])
+                if math.isnan(f):
+                    raise ValueError("objective returned NaN")
+                evals += 1
+                if f > best:
+                    best = f
+                    x = cand[0]
+                    moved = True
+                    break
+        if not moved:
+            step *= budget.shrink
+            if step < budget.min_step:
+                converged = True
+                break
+    return x, best, converged, evals

@@ -73,6 +73,32 @@ def test_norm_command_malformed_seq_exit_2(capsys):
     assert code == 2
 
 
+_VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
+
+
+@pytest.mark.parametrize("argv, env, want", [
+    (["vecnorm", "--kind", "mid", "--space", "lp:2", "--vectors", _VECTORS, "--m", "0"],
+     None, 2),
+    (["summing", "--kind", "pi", "--space", "lp:2", "--n", "0",
+      "--operator", '{"domain": "l2:1", "codomain": "l2:1", "rows": [[1.0]]}'], None, 2),
+    (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS,
+      "--restarts", "0"], None, 2),
+    (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS],
+     "restarts=abc", 2),
+    (["verify", "--suite", "holder", "--trials", "0"], None, 2),
+    (["norm", "--space", "lp:nan", "--seq", "[1, 2]"], None, 3),
+    (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS,
+      "--seed", "-1"], None, 2),
+], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative"])
+def test_malformed_input_exits_2_or_3(argv, env, want, monkeypatch, capsys):
+    if env is not None:
+        monkeypatch.setenv("SEQSUM_BUDGET", env)
+    code, out, err = run_cli(argv, capsys)
+    assert code == want
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_unwritable_report_exit_4(capsys):
     code, _, _ = run_cli(
         ["norm", "--space", "lp:2", "--seq", "[3,4]",

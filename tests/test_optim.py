@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from seqsum import optim, spaces
+from seqsum import optim, spaces, tensor, vector_norms as vn
 from seqsum.optim import Ball, InfeasibleSeedError, OptBudget
 from seqsum.spaces import OrliczFunction, WeightSeq
 
 
 def l2_ball(dim):
     def project(v):
-        n = float(np.linalg.norm(v))
-        return v / n if n > 1.0 else v
+        n = np.linalg.norm(v, axis=-1, keepdims=True)
+        return v / np.maximum(n, 1.0)
 
     return Ball(
         dim=dim,
@@ -29,7 +29,7 @@ def l2_ball(dim):
 def test_linear_functional_over_l2_ball():
     target = np.array([3.0, 4.0])
     res = optim.maximize_over_ball(
-        lambda f: float(f @ target), l2_ball(2),
+        lambda F: F @ target, l2_ball(2),
         budget=OptBudget(restarts=4, iterations=200), homogeneous=True,
     )
     assert res.value == pytest.approx(5.0, abs=1e-6)
@@ -43,7 +43,7 @@ def test_pairing_over_space_ball_self_dual():
     ball = spaces.space_ball(spaces.lp(2), 2)
     beta = np.array([3.0, 4.0])
     res = optim.maximize_over_ball(
-        lambda a: float(np.sum(np.abs(a * beta))), ball,
+        lambda A: np.sum(np.abs(A * beta), axis=-1), ball,
         budget=OptBudget(restarts=4, iterations=200), homogeneous=True,
     )
     assert res.value == pytest.approx(5.0, abs=1e-5)
@@ -54,8 +54,8 @@ def test_space_ball_l1_objective_vs_grid():
     c = rng.standard_normal(3)
     Q = rng.standard_normal((3, 3)) * 0.3
 
-    def objective(a):
-        return float(c @ a - a @ Q @ a)
+    def objective(A):
+        return A @ c - np.sum((A @ Q) * A, axis=-1)
 
     # dense grid over the l1 ball at resolution 0.01 (octant scan with signs)
     best = -math.inf
@@ -68,7 +68,7 @@ def test_space_ball_l1_objective_vs_grid():
             for sx in (x, -x):
                 for sy in (y, -y):
                     for sz in (z, -z):
-                        best = max(best, objective(np.array([sx, sy, sz])))
+                        best = max(best, objective(np.array([[sx, sy, sz]]))[0])
     res = optim.maximize_over_ball(
         objective, spaces.space_ball(spaces.lp(1), 3),
         budget=OptBudget(restarts=6, iterations=250),
@@ -81,9 +81,9 @@ def test_luxemburg_residual_minimization_matches_bisection():
     a = np.array([1.0, 2.5, 0.5])
     want = oc.luxemburg_secant_oracle(fn, a)
 
-    def residual(v):
-        k = abs(float(v[0])) + 1e-9
-        return abs(float(np.sum(fn(np.abs(a) / k))) - 1.0)
+    def residual(V):
+        k = np.abs(V[:, :1]) + 1e-9
+        return np.abs(np.sum(fn(np.abs(a) / k), axis=-1) - 1.0)
 
     dom = optim.free_domain(1, scale=float(np.max(np.abs(a))), label="gauge")
     res = optim.minimize_over_family(
@@ -98,7 +98,7 @@ def test_seed_domination():
     target = np.array([1.0, -2.0])
     seed = np.array([0.0, -1.0])  # already optimal direction
     res = optim.maximize_over_ball(
-        lambda f: float(f @ target), l2_ball(2),
+        lambda F: F @ target, l2_ball(2),
         budget=OptBudget(restarts=1, iterations=1), seeds=[seed],
     )
     assert res.value >= float(seed @ target) - 1e-12
@@ -108,27 +108,27 @@ def test_infeasible_seeds_rejected():
     ball = l2_ball(2)
     budget = OptBudget(restarts=1, iterations=5)
     with pytest.raises(InfeasibleSeedError):
-        optim.maximize_over_ball(lambda f: 0.0, ball, budget=budget,
+        optim.maximize_over_ball(lambda F: np.zeros(len(F)), ball, budget=budget,
                                  seeds=[np.array([1.0, 2.0, 3.0])])
     with pytest.raises(InfeasibleSeedError):
-        optim.maximize_over_ball(lambda f: 0.0, ball, budget=budget,
+        optim.maximize_over_ball(lambda F: np.zeros(len(F)), ball, budget=budget,
                                  seeds=[np.array([math.nan, 0.0])])
     with pytest.raises(InfeasibleSeedError):
-        optim.maximize_over_ball(lambda f: 0.0, ball, budget=budget,
+        optim.maximize_over_ball(lambda F: np.zeros(len(F)), ball, budget=budget,
                                  seeds=[np.array([5.0, 5.0])])
 
 
 def test_nan_objective_raises():
     with pytest.raises(ValueError):
-        optim.maximize_over_ball(lambda f: math.nan, l2_ball(2),
+        optim.maximize_over_ball(lambda F: np.full(len(F), math.nan), l2_ball(2),
                                  budget=OptBudget(restarts=1, iterations=5))
 
 
 def test_determinism_same_seed_same_result():
     rng_target = np.random.default_rng(22).standard_normal(4)
 
-    def objective(f):
-        return float(np.tanh(f) @ rng_target)
+    def objective(F):
+        return np.tanh(F) @ rng_target
 
     a = optim.maximize_over_ball(objective, l2_ball(4),
                                  budget=OptBudget(restarts=3, iterations=80, seed=5))
@@ -151,7 +151,7 @@ def test_value_recomputed_at_witness():
     # a drifting closure cannot smuggle a stale best value into the result
     ball = spaces.space_ball(spaces.lp(1), 2)
     res = optim.maximize_over_ball(
-        lambda a: float(np.sum(np.abs(a))), ball,
+        lambda A: np.sum(np.abs(A), axis=-1), ball,
         budget=OptBudget(restarts=2, iterations=60), homogeneous=True,
     )
     assert res.value == pytest.approx(float(np.sum(np.abs(res.witness))), abs=1e-12)
@@ -168,3 +168,82 @@ def test_concat_domain_slices():
     w = dom.project(np.array([3.0, 4.0, 2.0, -2.0, 2.0]))
     assert float(np.linalg.norm(w[:2])) <= 1.0 + 1e-9
     assert float(np.sum(np.abs(w[2:]))) <= 1.0 + 1e-9
+
+
+def _assert_same_trajectory(objective, domain, x0, budget):
+    got = optim._sweep_search(objective, domain, x0, budget)
+    want = oc.sequential_sweep_search(objective, domain, x0, budget)
+    assert np.array_equal(got[0], want[0])
+    assert got[1:] == want[1:]
+    assert type(got[3]) is int
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+def test_speculative_poll_keeps_trajectory_on_operator_ball(p, r):
+    # the mid-norm search: the operator ball into lp(p)^m, bit for bit
+    rng = np.random.default_rng(int(10 * p) + (9 if math.isinf(r) else int(r)))
+    m, n, d = 3, 4, 2
+    A = rng.standard_normal((n, d))
+    spec = spaces.lp(p)
+    ball = vn._operator_ball(vn.lp_oracle(r, d), spec, m)
+
+    def objective(flat):
+        T = flat.reshape(flat.shape[:-1] + (m, d))
+        imgs = A @ np.swapaxes(T, -1, -2)
+        return spaces.evaluate_norms(spec, spaces.evaluate_norms(spec, imgs))
+
+    budget = OptBudget(iterations=60)
+    _assert_same_trajectory(objective, ball, ball.random_point(rng), budget)
+
+
+def test_speculative_poll_keeps_trajectory_on_free_minimisation():
+    # the single-block tensor cost, minimised over free mixings
+    E = np.array([[1.0, -0.4, 0.3], [0.2, 0.9, -1.1]])
+    X0, Y0 = tensor._base_factors(E, 2)
+    l2 = vn.lp_oracle(2, 2)
+    u = tensor.Tensor(l2, vn.lp_oracle(2, 3), E)
+    lam = spaces.lp(2)
+
+    def neg_cost(flat):
+        Xm, Ym, ok = tensor._mixed_block(X0, Y0, flat.reshape(flat.shape[:-1] + (2, 2)))
+        return -np.where(ok, tensor._block_cost(lam, lam, u, Xm, Ym), math.inf)
+
+    dom = optim.free_domain(4, scale=0.4)
+    budget = OptBudget(iterations=80)
+    _assert_same_trajectory(neg_cost, dom, np.array([0.3, -0.2, 0.1, 0.5]), budget)
+
+
+def test_poll_scores_only_what_the_sequential_poll_reaches():
+    # candidates with x[1] < 0 are NaN in one objective and raise in the
+    # other; the first improvement always comes before them in the poll
+    def nan_after(X):
+        return np.where(X[:, 1] >= 0.0, np.minimum(X, 1.0).sum(axis=1), math.nan)
+
+    def raise_after(X):
+        if np.any(X[:, 1] < 0.0):
+            raise RuntimeError("candidate past the accepted one")
+        return np.minimum(X, 1.0).sum(axis=1)
+
+    budget = OptBudget(iterations=30, min_step=1e-3)
+    for objective in (nan_after, raise_after):
+        _assert_same_trajectory(objective, optim.free_domain(2), np.zeros(2), budget)
+
+
+def test_converged_is_the_winning_restarts_flag():
+    # restart 0 sits on a local maximum and converges; restart 1 climbs the
+    # higher hill and runs out of iterations, and it is the one that wins
+    def objective(X):
+        x = X[:, 0]
+        return np.maximum(-x * x, 1000.0 - (x - 100.0) ** 2)
+
+    budget = OptBudget(restarts=2, iterations=3, init_step=0.5, shrink=0.5, min_step=0.1)
+    res = optim.maximize_over_ball(objective, optim.free_domain(1), budget=budget,
+                                   seeds=[np.array([0.0]), np.array([90.0])])
+    assert res.witness[0] == pytest.approx(91.5)
+    assert res.converged is False
+    # a seed that its own restart cannot improve keeps that restart's flag
+    res = optim.maximize_over_ball(objective, optim.free_domain(1), budget=budget,
+                                   seeds=[np.array([0.0])])
+    assert res.witness[0] == 0.0
+    assert res.converged is True

@@ -70,6 +70,36 @@ def test_empty_and_zero_sequences():
         assert spaces.evaluate_norm(spec, [0.0, 0.0, 0.0]) == 0.0
 
 
+@pytest.mark.parametrize("spec, ratio", [
+    (spaces.lp(1.5), 2.0 ** (1 / 1.5)),
+    (spaces.lp(2.0), math.sqrt(2.0)),
+    (spaces.lp(3.0), 2.0 ** (1 / 3)),
+    (spaces.garling_mu(GEOM_HALF, 2.0), math.sqrt(1.5)),
+], ids=["lp1.5", "lp2", "lp3", "garling_mu"])
+@pytest.mark.parametrize("scale", [1e308, 1e-200])
+def test_power_sums_neither_overflow_nor_underflow(spec, ratio, scale):
+    with np.errstate(over="raise"):
+        got = spaces.evaluate_norm(spec, [scale, scale])
+    assert got == pytest.approx(ratio * scale, rel=1e-14)
+
+
+def test_stacked_norms_equal_row_norms_bit_for_bit():
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((3, 4, 6)) * 10.0 ** rng.uniform(-3, 3, (3, 4, 6))
+    X[0, 1] = 0.0
+    X[1, 2, 3:] = 0.0
+    specs = [spaces.lp(1), spaces.lp(2.5), spaces.lp(math.inf), spaces.c0(),
+             spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)),
+             spaces.lorentz(GEOM_HALF, 1.0), spaces.garling_mu(GEOM_HALF, 2.0),
+             spaces.garling_nu(GEOM_HALF, 2.0), spaces.sargent_m(SQRT),
+             spaces.sargent_n(SQRT)]
+    for spec in specs:
+        got = spaces.evaluate_norms(spec, X)
+        assert got.shape == (3, 4)
+        for i in np.ndindex(3, 4):
+            assert got[i] == spaces.evaluate_norm(spec, X[i]), (spec.label(), i)
+
+
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_lp_against_numpy(p):
     rng = np.random.default_rng(2)
@@ -401,6 +431,12 @@ def test_invalid_specs_rejected():
                        points=((0.0, 0.0), (1.0, 2.0), (2.0, 2.5)))  # concave
     with pytest.raises(SpecValidationError):
         spaces.garling_nu(GEOM_HALF, 1.0)  # needs p > 1
+    # nan compares false with every bound, so each family must reject it
+    for make in (spaces.lp, lambda p: spaces.lorentz(GEOM_HALF, p),
+                 lambda p: spaces.garling_mu(GEOM_HALF, p),
+                 lambda p: spaces.garling_nu(GEOM_HALF, p)):
+        with pytest.raises(SpecValidationError):
+            make(math.nan)
 
 
 def test_spacespec_json_roundtrip():

@@ -180,16 +180,6 @@ def test_mid_nondecreasing_in_m():
     assert vals[1] <= vals[2] + 1e-9
 
 
-def test_mid_functional_form_agrees():
-    rng = np.random.default_rng(34)
-    for _ in range(4):
-        X = rng.standard_normal((3, 2))
-        xs = seq("l2:2", X)
-        a = vn.mid_norm(spaces.lp(2), xs, m=3, budget=LIGHT)
-        b = vn.mid_norm_functional(spaces.lp(2), xs, m=3, budget=LIGHT)
-        assert a.value == pytest.approx(b.value, rel=5e-2)
-
-
 def test_mid_invalid_m():
     with pytest.raises(ValueError):
         vn.mid_norm(spaces.lp(2), seq("l2:2", [[1, 0]]), m=0, budget=LIGHT)
