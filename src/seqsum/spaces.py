@@ -3,9 +3,9 @@
 Every evaluator works on finitely supported sequences, where the defining
 formulas are exact.  Supported families: lp, Orlicz (Luxemburg gauge, with an
 optional per-coordinate list of Orlicz functions), Lorentz-type weighted
-rearrangement spaces, the two Garling families (one defined by a weighted
-rearranged sum, the other by an infimum over nonincreasing multipliers), the
-two Sargent families, and c0 with the sup norm.
+rearrangement spaces, the two Garling families (mu, a weighted rearranged
+sum, and its Kothe dual nu, computed by Halperin's level function), the two
+Sargent families, and c0 with the sup norm.
 
 Conventions: a finite sequence is any 1-d array-like of reals; the zero tail
 is implicit, so trailing zeros never change a norm.  All norms here are
@@ -57,14 +57,6 @@ _FAMILIES = (
     "sargent_n",
     "c0",
 )
-
-# Budget for the inner minimization of the infimum-defined Garling family.
-# The reparametrized problem is convex, so a small deterministic budget with
-# duality-aligned seeds is enough; evaluate_norm stays a pure function.
-_NU_BUDGET = optim.OptBudget(
-    restarts=3, iterations=110, init_step=0.35, shrink=0.55, seed=8675309
-)
-
 
 _TINY = np.finfo(float).tiny
 # the exponent bits of a float64: masking a positive float with them gives
@@ -305,18 +297,10 @@ class SpaceSpec:
                         raise SpecValidationError("orlicz list entries must be OrliczFunction")
             elif not isinstance(M, OrliczFunction):
                 raise SpecValidationError("orlicz spec needs an OrliczFunction")
-        elif fam == "lorentz":
+        elif fam in ("lorentz", "garling_mu", "garling_nu"):
             if self.weights is None or self.p is None or not (1.0 <= self.p < math.inf):
-                raise SpecValidationError("lorentz needs weights and finite p >= 1")
-            _validate_decreasing_weights(self.weights, "lorentz")
-        elif fam == "garling_mu":
-            if self.weights is None or self.p is None or not (1.0 <= self.p < math.inf):
-                raise SpecValidationError("garling_mu needs weights and finite p >= 1")
-            _validate_decreasing_weights(self.weights, "garling_mu")
-        elif fam == "garling_nu":
-            if self.weights is None or self.p is None or not (1.0 < self.p < math.inf):
-                raise SpecValidationError("garling_nu needs weights and finite p > 1")
-            _validate_decreasing_weights(self.weights, "garling_nu")
+                raise SpecValidationError(f"{fam} needs weights and finite p >= 1")
+            _validate_decreasing_weights(self.weights, fam)
         elif fam in ("sargent_m", "sargent_n"):
             if self.weights is None:
                 raise SpecValidationError(f"{fam} needs a scale sequence")
@@ -435,12 +419,23 @@ def decreasing_rearrangement(coeffs) -> np.ndarray:
     return m[order]
 
 
+def _pow2_floor(mx):
+    """Largest power of two at or below each maximum, floored at the least
+    normal float; dividing by it and multiplying back are exact."""
+    return np.maximum((mx.view(np.int64) & _EXPONENT).view(np.float64), _TINY)
+
+
 def _luxemburg(arr: np.ndarray, fns) -> float:
     # smallest k with sum_j M_j(a_j / k) <= 1, by bisection on the
-    # nonincreasing constraint function
-    support = arr[arr > 0]
-    if support.size == 0:
+    # nonincreasing constraint function.  The gauge is homogeneous, so it is
+    # found for arr / scale and multiplied back, which leaves the bits of
+    # normal-range inputs as they are and keeps the bracket away from
+    # overflow and subnormals.
+    mx = arr.max()
+    if mx == 0.0:
         return 0.0
+    scale = _pow2_floor(mx)
+    arr = arr / scale
 
     if isinstance(fns, OrliczFunction):
         def G(k):
@@ -465,17 +460,15 @@ def _luxemburg(arr: np.ndarray, fns) -> float:
         if G(lo) > 1.0:
             break
         lo *= 0.5
-        if lo < 1e-300:
-            # constraint already satisfied at tiny k; the gauge is 0 only for alpha = 0,
-            # so treat the smallest bracketed k as the value
-            return lo
+    else:
+        raise ValueError("luxemburg bracket contraction failed")
     while hi - lo > 4e-13 * hi:
         mid = 0.5 * (lo + hi)
         if G(mid) <= 1.0:
             hi = mid
         else:
             lo = mid
-    return hi
+    return float(scale * hi)
 
 
 def _sargent_delta_top(weights: WeightSeq, nnz: int) -> np.ndarray:
@@ -503,63 +496,43 @@ def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.nda
     if math.isinf(p):
         return mx[..., 0]
     # the floor keeps zero rows at 0 and only replaces a subnormal maximum
-    scale = np.maximum((mx.view(np.int64) & _EXPONENT).view(np.float64), _TINY)
+    scale = _pow2_floor(mx)
     t = (A / scale) ** p
     if weights is not None:
         t = weights * t
     return scale[..., 0] * t.sum(axis=-1) ** (1.0 / p)
 
 
-def _garling_nu_value(spec: SpaceSpec, coeffs, with_witness: bool = False):
-    bhat = decreasing_rearrangement(coeffs)
-    s = int(np.count_nonzero(bhat))
-    if s == 0:
-        return (0.0, None) if with_witness else 0.0
-    bhat = bhat[:s]
-    p = spec.p
-    q = conjugate_exponent(p)
-    a = spec.weights.materialize(s)
-    b = a ** (1.0 / p)
-    A = np.cumsum(bhat)
-    if s == 1:
-        # single multiplier: k = (1,) is optimal
-        val = float(A[0] / b[0])
-        return (val, np.array([1.0])) if with_witness else val
+def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
+    """Garling nu norm of one nonincreasing, nonnegative row.
 
-    def project(V):
-        K = np.minimum.accumulate(np.abs(V), axis=-1)
-        # K is nonincreasing, so it is zero exactly when its first entry is
-        K = np.where(K[..., :1] > 0.0, K, 1.0)
-        return K / _pnorm(K, q)[..., None]
-
-    def objective(K):
-        B = np.cumsum(K * b, axis=-1)
-        ok = B[..., 0] > 0.0
-        return np.where(ok, (A / np.where(ok[..., None], B, 1.0)).max(axis=-1), math.inf)
-
-    domain = optim.Ball(
-        dim=s,
-        project=project,
-        membership=lambda k: True,
-        random_point=lambda rng: project(rng.random(s) + 1e-3),
-        label="nu-multipliers",
-    )
-    seeds = [
-        project(np.ones(s)),
-        project(a ** (1.0 / q)),
-        project(np.concatenate([[1.0], np.full(s - 1, 1e-9)])),
-        project(bhat / bhat[0]),
-    ]
-    res = optim.minimize_over_family(objective, domain, budget=_NU_BUDGET, seeds=seeds)
-    return (res.value, res.witness) if with_witness else res.value
+    Halperin's level function: pool adjacent violators on yhat against the
+    weights until the block ratios Y_B / W_B decrease; then
+    nu(y)^q = sum_B W_B (Y_B / W_B)^q (Sinnamon 1994), which at q = inf is
+    max_n Y_n / W_n.  The row is first divided by a power of two at or
+    below its maximum, so no block sum overflows or underflows.
+    """
+    scale = _pow2_floor(yhat[0])
+    Ys, Ws, sizes = [], [], []
+    for Y, W in zip((yhat / scale).tolist(), w.tolist()):
+        size = 1
+        while Ys and Ys[-1] * W <= Y * Ws[-1]:
+            Y += Ys.pop()
+            W += Ws.pop()
+            size += sizes.pop()
+        Ys.append(Y)
+        Ws.append(W)
+        sizes.append(size)
+    g = np.repeat(np.divide(Ys, Ws), sizes)
+    return float(scale * _pnorm(g, q, w))
 
 
 def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     """Norm of each sequence along the last axis of X, one per leading index.
 
     The lp, c0, rearrangement and Sargent families are computed for the
-    whole stack at once; Orlicz and the infimum-defined Garling family go
-    row by row.  Each row's value does not depend on the other rows.
+    whole stack at once; Orlicz and Garling nu go row by row.  Each row's
+    value does not depend on the other rows.
     """
     A = np.abs(np.asarray(X, dtype=float))
     n = A.shape[-1]
@@ -573,15 +546,15 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
         return _pnorm(A, spec.p)
     if fam == "c0":
         return A.max(axis=-1)
-    if fam in ("orlicz", "garling_nu"):
-        rows = A.reshape(-1, n)
-        if fam == "orlicz":
-            vals = [_luxemburg(r, spec.orlicz) for r in rows]
-        else:
-            vals = [_garling_nu_value(spec, r) for r in rows]
+    if fam == "orlicz":
+        vals = [_luxemburg(r, spec.orlicz) for r in A.reshape(-1, n)]
         return np.array(vals, dtype=float).reshape(A.shape[:-1])
     # trailing zeros of the rearrangement add nothing to any of these forms
     ahat = -np.sort(-A, axis=-1)
+    if fam == "garling_nu":
+        w, q = spec.weights.materialize(n), conjugate_exponent(spec.p)
+        vals = [_level_nu(r, w, q) for r in ahat.reshape(-1, n)]
+        return np.array(vals, dtype=float).reshape(A.shape[:-1])
     if fam in ("lorentz", "garling_mu"):
         return _pnorm(ahat, spec.p, spec.weights.materialize(n))
     if fam == "sargent_m":
@@ -594,10 +567,8 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
 def evaluate_norm(spec: SpaceSpec, coeffs) -> float:
     """Norm of a finite sequence in the given space; the one-row evaluate_norms.
 
-    Exact closed forms everywhere except the infimum-defined Garling family,
-    whose value is a certified upper bound produced by a deterministic inner
-    minimization (the reported value is attained by an explicit feasible
-    multiplier sequence).
+    No family runs a search: Garling nu has the closed form of the level
+    function, and the Orlicz gauge is bisected to 4e-13 relative.
     """
     return float(evaluate_norms(spec, np.asarray(coeffs, dtype=float).reshape(1, -1))[0])
 
@@ -640,12 +611,7 @@ def kothe_dual_spec(spec: SpaceSpec) -> SpaceSpec | None:
 
 
 def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
-    """Unit ball of the space, truncated to sequences of the given length.
-
-    For the infimum-defined Garling family the projection divides by the
-    certified upper bound of the norm, which keeps every projected point
-    genuinely feasible.
-    """
+    """Unit ball of the space, truncated to sequences of the given length."""
     length = int(length)
 
     def project(V):

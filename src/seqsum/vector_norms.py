@@ -165,21 +165,22 @@ def _l2_to_lp_upper(M: np.ndarray, r: float):
     sv = np.linalg.svd(M, compute_uv=False)[..., 0]
     if r == 2.0:
         return sv, "exact"
-    row2 = np.sqrt(np.sum(M * M, axis=-1))
-    if math.isinf(r):
-        return row2.max(axis=-1), "exact"
-    m = M.shape[-2]
-    if r == 1.0:
-        if m <= _SIGN_ENUM_LIMIT:
-            S = _sign_vectors(m)
-            return np.sqrt(np.sum((S @ M) ** 2, axis=-1)).max(axis=-1), "exact"
-        return math.sqrt(m) * sv, "certified"
     if r > 2.0:
+        row2 = spaces._pnorm(np.abs(M), 2.0).max(axis=-1)
+        if math.isinf(r):
+            return row2, "exact"
         # pointwise |y|_r <= |y|_2^(2/r) |y|_inf^(1-2/r)
         t = 2.0 / r
-        return sv**t * row2.max(axis=-1) ** (1.0 - t), "certified"
+        return sv**t * row2 ** (1.0 - t), "certified"
+    m = M.shape[-2]
+    if m <= _SIGN_ENUM_LIMIT:
+        S = _sign_vectors(m)
+        to_one, grade = spaces._pnorm(np.abs(S @ M), 2.0).max(axis=-1), "exact"
+    else:
+        to_one, grade = math.sqrt(m) * sv, "certified"
+    if r == 1.0:
+        return to_one, grade
     # 1 < r < 2: |y|_r <= |y|_1^th |y|_2^(1-th), th = 2/r - 1
-    to_one, _ = _l2_to_lp_upper(M, 1.0)
     th = 2.0 / r - 1.0
     return to_one**th * sv ** (1.0 - th), "certified"
 
@@ -215,7 +216,7 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
             val, grade = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
         else:
             # normality: |(Mx)_i| <= |row_i|_2 |x|_2
-            row2 = np.sqrt(np.sum(M * M, axis=-1))
+            row2 = spaces._pnorm(np.abs(M), 2.0)
             val = evaluate_norms(cod, row2)
             grade = "exact" if np.all(np.count_nonzero(row2, axis=-1) <= 1) else "certified"
     else:

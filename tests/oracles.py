@@ -113,6 +113,45 @@ def luxemburg_secant_oracle(fn, seq, tol: float = 1e-12) -> float:
     return hi
 
 
+def garling_nu_partition_oracle(weights: np.ndarray, p: float, seq) -> float:
+    """Garling nu norm as the best of all splits of y* into consecutive blocks.
+
+    nu is the Kothe dual of mu(x) = (sum_j w_j x*_j^p)^(1/p).  Each split
+    of the decreasing rearrangement y* gives a feasible direction x, equal
+    to (Y_B / W_B)^(q - 1) on each block B (at p = 1, the indicator of the
+    leading block), and sum x y* / mu(x) is a lower bound for nu(y).  The
+    level function's split attains nu, so the best of all 2^(n-1) splits is
+    the norm.  mu is a plain sort and fsum.
+    """
+    y = sorted((abs(float(v)) for v in np.ravel(seq) if v != 0.0), reverse=True)
+    n = len(y)
+    if n == 0:
+        return 0.0
+    if n > 7:
+        raise ValueError("support too large for partition oracle")
+    w = [float(v) for v in np.asarray(weights, dtype=float)[:n]]
+    q = lp_dual_exponent_oracle(p)
+
+    def mu(x):
+        xs = sorted(x, reverse=True)
+        return math.fsum(wj * xj**p for wj, xj in zip(w, xs)) ** (1.0 / p)
+
+    best = 0.0
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        ends = [i + 1 for i, cut in enumerate(cuts) if cut] + [n]
+        x, start = [], 0
+        for end in ends:
+            if p == 1.0:
+                level = 1.0 if start == 0 else 0.0
+            else:
+                ratio = math.fsum(y[start:end]) / math.fsum(w[start:end])
+                level = ratio ** (q - 1.0)
+            x += [level] * (end - start)
+            start = end
+        best = max(best, math.fsum(a * b for a, b in zip(x, y)) / mu(x))
+    return best
+
+
 def top_singular_value_oracle(M, iters: int = 2000, tol: float = 1e-14) -> float:
     """Largest singular value via power iteration on M^T M."""
     M = np.asarray(M, dtype=float)

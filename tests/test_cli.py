@@ -120,6 +120,15 @@ def test_dual_norm_command(capsys):
     assert out.strip() == "3"
 
 
+def test_dual_norm_command_garling_mu_default_p1(capsys):
+    # the DSL default is p = 1, whose dual is nu at p = 1: max_n Y_n / W_n,
+    # here max(3/1, 5/1.5, 6/1.75) = 24/7
+    code, out, _ = run_cli(["dual-norm", "--space", "garling_mu:geometric:0.5",
+                            "--seq", "[1,3,2]"], capsys)
+    assert code == 0
+    assert float(out.split()[0]) == pytest.approx(24.0 / 7.0, rel=1e-12)
+
+
 def test_space_file_escape_hatch(tmp_path, capsys):
     spec = spaces.lorentz(spaces.WeightSeq(prefix=(1.0,), tail="geometric:0.5"),
                           1.0)

@@ -38,6 +38,16 @@ def test_orlicz_power2_matches_l2():
     assert spaces.evaluate_norm(spec, [3, 4]) == pytest.approx(5.0, abs=1e-10)
 
 
+@pytest.mark.parametrize("scale", [1e-301, 1e-200, 1e-12, 1e12])
+def test_orlicz_gauge_is_scale_safe(scale):
+    # the gauge is homogeneous, so it tracks lp(2) down to the least normal
+    # floats; an absolute bracket floor of 1e-300 would give 5.5e-301 here
+    spec = spaces.orlicz(OrliczFunction(kind="power", p=2.0))
+    x = [3.0 * scale, 4.0 * scale]
+    assert spaces.evaluate_norm(spec, x) == pytest.approx(
+        spaces.evaluate_norm(spaces.lp(2), x), rel=1e-12, abs=0.0)
+
+
 def test_lorentz_two_entry_value():
     # frozen from the permutation oracle: max(1*1 + 2*0.5, 2*1 + 1*0.5) = 2.5
     spec = spaces.lorentz(GEOM_HALF, 1.0)
@@ -75,12 +85,14 @@ def test_empty_and_zero_sequences():
     (spaces.lp(2.0), math.sqrt(2.0)),
     (spaces.lp(3.0), 2.0 ** (1 / 3)),
     (spaces.garling_mu(GEOM_HALF, 2.0), math.sqrt(1.5)),
-], ids=["lp1.5", "lp2", "lp3", "garling_mu"])
+    # one pooled block: W = 1.5 and ratio 2x / 1.5, so nu^2 = 1.5 (4x/3)^2
+    (spaces.garling_nu(GEOM_HALF, 2.0), math.sqrt(8.0 / 3.0)),
+], ids=["lp1.5", "lp2", "lp3", "garling_mu", "garling_nu"])
 @pytest.mark.parametrize("scale", [1e308, 1e-200])
 def test_power_sums_neither_overflow_nor_underflow(spec, ratio, scale):
     with np.errstate(over="raise"):
         got = spaces.evaluate_norm(spec, [scale, scale])
-    assert got == pytest.approx(ratio * scale, rel=1e-14)
+    assert got == pytest.approx(ratio * scale, rel=1e-14, abs=0.0)
 
 
 def test_stacked_norms_equal_row_norms_bit_for_bit():
@@ -91,8 +103,8 @@ def test_stacked_norms_equal_row_norms_bit_for_bit():
     specs = [spaces.lp(1), spaces.lp(2.5), spaces.lp(math.inf), spaces.c0(),
              spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)),
              spaces.lorentz(GEOM_HALF, 1.0), spaces.garling_mu(GEOM_HALF, 2.0),
-             spaces.garling_nu(GEOM_HALF, 2.0), spaces.sargent_m(SQRT),
-             spaces.sargent_n(SQRT)]
+             spaces.garling_nu(GEOM_HALF, 2.0), spaces.garling_nu(GEOM_HALF, 1.0),
+             spaces.sargent_m(SQRT), spaces.sargent_n(SQRT)]
     for spec in specs:
         got = spaces.evaluate_norms(spec, X)
         assert got.shape == (3, 4)
@@ -221,9 +233,8 @@ def test_symmetry_under_permutation_and_signs():
         base = spaces.evaluate_norm(spec, a)
         perm = rng.permutation(a)
         flip = a * rng.choice([-1.0, 1.0], size=a.size)
-        tol = 5e-3 if spec.family == "garling_nu" else 1e-10
-        assert spaces.evaluate_norm(spec, perm) == pytest.approx(base, rel=tol)
-        assert spaces.evaluate_norm(spec, flip) == pytest.approx(base, rel=tol)
+        assert spaces.evaluate_norm(spec, perm) == pytest.approx(base, rel=1e-10)
+        assert spaces.evaluate_norm(spec, flip) == pytest.approx(base, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +314,33 @@ def test_garling_nu_equals_dual_of_mu():
                                     budget=OptBudget(restarts=4, iterations=200))
         assert via_dual.value <= direct + 1e-9
         assert via_dual.value == pytest.approx(direct, rel=5e-2)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_garling_nu_matches_partition_oracle(p):
+    rng = np.random.default_rng(15)
+    for weights in (GEOM_HALF, WeightSeq(prefix=(1.0, 0.9, 0.3), tail="power:-1.0")):
+        spec = spaces.garling_nu(weights, p)
+        w = weights.materialize(7)
+        for _ in range(30):
+            y = rng.standard_normal(int(rng.integers(1, 8)))
+            y[rng.random(y.size) < 0.2] = 0.0
+            assert spaces.evaluate_norm(spec, y) == pytest.approx(
+                oc.garling_nu_partition_oracle(w, p, y), rel=1e-12, abs=0.0)
+
+
+def test_garling_mu_p1_dual_is_max_ratio():
+    spec = spaces.garling_mu(GEOM_HALF, 1.0)
+    assert spaces.kothe_dual_spec(spec) == spaces.garling_nu(GEOM_HALF, 1.0)
+    W = np.cumsum(GEOM_HALF.materialize(6))
+    rng = np.random.default_rng(16)
+    for _ in range(10):
+        y = rng.standard_normal(int(rng.integers(1, 7)))
+        Y = np.cumsum(np.sort(np.abs(y))[::-1])
+        res = spaces.dual_norm(spec, y)
+        assert res.bound_direction == "exact"
+        assert res.value == pytest.approx(max(Y / W[:y.size]), rel=1e-12)
+        assert float(np.sum(np.abs(res.witness * y))) <= res.value * (1.0 + 1e-12)
 
 
 def test_garling_nu_e1_vs_three_point_grid():
@@ -430,7 +468,7 @@ def test_invalid_specs_rejected():
         OrliczFunction(kind="tabulated",
                        points=((0.0, 0.0), (1.0, 2.0), (2.0, 2.5)))  # concave
     with pytest.raises(SpecValidationError):
-        spaces.garling_nu(GEOM_HALF, 1.0)  # needs p > 1
+        spaces.garling_nu(GEOM_HALF, 0.5)  # needs p >= 1
     # nan compares false with every bound, so each family must reject it
     for make in (spaces.lp, lambda p: spaces.lorentz(GEOM_HALF, p),
                  lambda p: spaces.garling_mu(GEOM_HALF, p),

@@ -281,6 +281,19 @@ def test_operator_norm_upper_exact_branches():
     assert v2 == pytest.approx(oc.top_singular_value_oracle(M), rel=1e-9)
 
 
+@pytest.mark.parametrize("cod", [spaces.lp(1), spaces.lp(3), spaces.lp(math.inf),
+                                 spaces.sargent_m(SQRT)],
+                         ids=["lp1", "lp3", "lpinf", "sargent_m"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_operator_norm_upper_from_l2_is_scale_safe(cod, scale):
+    # the l2 row norms neither overflow to inf nor underflow to 0
+    for M in (np.eye(2), np.array([[2.0, 1.0], [0.5, -1.0]])):
+        want, want_grade = vn.operator_norm_upper(M, vn.lp_oracle(2, 2), cod)
+        got, grade = vn.operator_norm_upper(scale * M, vn.lp_oracle(2, 2), cod)
+        assert grade == want_grade
+        assert got == pytest.approx(scale * want, rel=1e-14, abs=0.0)
+
+
 def test_operator_norm_upper_interpolated_is_upper():
     rng = np.random.default_rng(38)
     for r in (1.3, 1.7, 2.5, 4.0):
