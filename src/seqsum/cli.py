@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__, optim, spaces, summing, tensor, vector_norms as vn
+from . import __version__, spaces, summing, tensor, vector_norms as vn
 from .optim import OptBudget
 from .spaces import SpaceSpec, SpecValidationError, WeightSeq
 
@@ -77,9 +77,7 @@ def parse_space(text: str) -> SpaceSpec:
                     tail_parts.append(piece)
             tail = _parse_tail(fam, tail_parts)
             w = WeightSeq(prefix=(1.0,), tail=tail)
-            if fam == "lorentz":
-                return spaces.lorentz(w, p if p is not None else 1.0)
-            if fam == "garling_mu":
+            if fam in ("lorentz", "garling_mu"):
                 return spaces.garling_mu(w, p if p is not None else 1.0)
             if fam == "garling_nu":
                 return spaces.garling_nu(w, p if p is not None else 2.0)
@@ -374,10 +372,9 @@ def _cmd_tensor(args) -> int:
     budget = _budget_from(args)
     t0 = time.perf_counter()
     if args.kind == "gamma":
-        res = tensor.gamma_lambda(spec, u, m=args.m, budget=budget)
+        res = tensor.gamma_lambda(spec, u, budget=budget)
     elif args.kind == "gamma-c":
-        res = tensor.gamma_lambda_c(spec, u, blocks=args.blocks, m=args.m,
-                                    budget=budget)
+        res = tensor.gamma_lambda_c(spec, u, blocks=args.blocks, budget=budget)
     else:
         res = tensor.injective_norm(u, budget=budget)
     ms = (time.perf_counter() - t0) * 1e3
@@ -626,7 +623,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True,
                    help='JSON {"domain": "l2:2", "codomain": "l2:2", "entries": [...]}')
     p.add_argument("--blocks", type=int, default=3)
-    p.add_argument("--m", type=int, default=4)
     p.set_defaults(fn=_cmd_tensor)
 
     p = sub.add_parser("verify", help="run invariant suites")

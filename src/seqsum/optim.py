@@ -14,7 +14,9 @@ depend on evaluation order across restarts.
 Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
 of values, and Ball.project acts on the last axis of an array with any
 leading batch axes.  Row i of either result must not depend on the other
-rows, so a point scores the same bits alone or inside a stack.
+rows, so a point scores the same bits alone or inside a stack.  Every unit
+ball of a gauge (a scalar norm, an oracle norm, an operator or handle bound)
+is built by gauge_ball from a stacked gauge (..., dim) -> (...).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "Witnessed",
     "Ball",
     "InfeasibleSeedError",
+    "gauge_ball",
     "free_domain",
     "concat_domain",
     "maximize_over_ball",
@@ -98,6 +101,31 @@ class Ball:
     random_point: Callable[[np.random.Generator], np.ndarray]
     to_boundary: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "domain"
+
+
+def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) -> Ball:
+    """The unit ball {x : gauge(x) <= 1} of a stacked gauge (..., dim) -> (...).
+
+    project divides each point by max(gauge, 1), to_boundary divides a
+    nonzero point by its gauge, membership allows 1e-9 of float drift, and
+    random_point projects a standard normal.
+    """
+
+    def project(V):
+        return V / np.maximum(gauge(V), 1.0)[..., None]
+
+    def to_boundary(v):
+        g = float(gauge(v))
+        return v if g == 0.0 else v / g
+
+    return Ball(
+        dim=dim,
+        project=project,
+        membership=lambda v: float(gauge(v)) <= 1.0 + 1e-9,
+        random_point=lambda rng: project(rng.standard_normal(dim)),
+        to_boundary=to_boundary,
+        label=label,
+    )
 
 
 def free_domain(dim: int, scale: float = 1.0, label: str = "free") -> Ball:

@@ -2,10 +2,10 @@
 
 Every evaluator works on finitely supported sequences, where the defining
 formulas are exact.  Supported families: lp, Orlicz (Luxemburg gauge, with an
-optional per-coordinate list of Orlicz functions), Lorentz-type weighted
-rearrangement spaces, the two Garling families (mu, a weighted rearranged
-sum, and its Kothe dual nu, computed by Halperin's level function), the two
-Sargent families, and c0 with the sup norm.
+optional per-coordinate list of Orlicz functions), the two Garling families
+(mu, a weighted rearranged sum of Lorentz type, and its Kothe dual nu,
+computed by Halperin's level function), the two Sargent families, and c0 with
+the sup norm.  lorentz(w, p) is another name for garling_mu(w, p).
 
 Conventions: a finite sequence is any 1-d array-like of reals; the zero tail
 is implicit, so trailing zeros never change a norm.  All norms here are
@@ -16,7 +16,7 @@ domination of moduli).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,7 +50,6 @@ __all__ = [
 _FAMILIES = (
     "lp",
     "orlicz",
-    "lorentz",
     "garling_mu",
     "garling_nu",
     "sargent_m",
@@ -297,7 +296,7 @@ class SpaceSpec:
                         raise SpecValidationError("orlicz list entries must be OrliczFunction")
             elif not isinstance(M, OrliczFunction):
                 raise SpecValidationError("orlicz spec needs an OrliczFunction")
-        elif fam in ("lorentz", "garling_mu", "garling_nu"):
+        elif fam in ("garling_mu", "garling_nu"):
             if self.weights is None or self.p is None or not (1.0 <= self.p < math.inf):
                 raise SpecValidationError(f"{fam} needs weights and finite p >= 1")
             _validate_decreasing_weights(self.weights, fam)
@@ -329,7 +328,7 @@ class SpaceSpec:
         elif self.family == "orlicz":
             M = self.orlicz
             params["M"] = [f.to_json() for f in M] if isinstance(M, tuple) else M.to_json()
-        elif self.family in ("lorentz", "garling_mu", "garling_nu"):
+        elif self.family in ("garling_mu", "garling_nu"):
             params["weights"] = self.weights.to_json()
             params["p"] = self.p
         elif self.family in ("sargent_m", "sargent_n"):
@@ -354,7 +353,9 @@ class SpaceSpec:
             if isinstance(M, list):
                 return orlicz(tuple(OrliczFunction.from_json(f) for f in M))
             return orlicz(OrliczFunction.from_json(M))
-        if fam in ("lorentz", "garling_mu", "garling_nu"):
+        if fam == "lorentz":
+            fam = "garling_mu"  # the same norm under its older name
+        if fam in ("garling_mu", "garling_nu"):
             w = WeightSeq.from_json(params.get("weights"))
             p = float(params.get("p"))
             return cls(family=fam, p=p, weights=w)
@@ -378,7 +379,8 @@ def orlicz(M) -> SpaceSpec:
 
 
 def lorentz(weights: WeightSeq, p: float) -> SpaceSpec:
-    return SpaceSpec(family="lorentz", p=float(p), weights=weights)
+    """The Lorentz-type space, which is garling_mu(weights, p)."""
+    return garling_mu(weights, p)
 
 
 def garling_mu(weights: WeightSeq, p: float) -> SpaceSpec:
@@ -555,7 +557,7 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
         w, q = spec.weights.materialize(n), conjugate_exponent(spec.p)
         vals = [_level_nu(r, w, q) for r in ahat.reshape(-1, n)]
         return np.array(vals, dtype=float).reshape(A.shape[:-1])
-    if fam in ("lorentz", "garling_mu"):
+    if fam == "garling_mu":
         return _pnorm(ahat, spec.p, spec.weights.materialize(n))
     if fam == "sargent_m":
         return (np.cumsum(ahat, axis=-1) / spec.weights.materialize(n)).max(axis=-1)
@@ -612,30 +614,8 @@ def kothe_dual_spec(spec: SpaceSpec) -> SpaceSpec | None:
 
 def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
     """Unit ball of the space, truncated to sequences of the given length."""
-    length = int(length)
-
-    def project(V):
-        return V / np.maximum(evaluate_norms(spec, V), 1.0)[..., None]
-
-    def to_boundary(v):
-        n = evaluate_norm(spec, v)
-        return v if n == 0.0 else v / n
-
-    def random_point(rng):
-        v = rng.standard_normal(length)
-        n = evaluate_norm(spec, v)
-        if n == 0.0:
-            return v
-        return v / n * rng.uniform(0.3, 1.0)
-
-    return optim.Ball(
-        dim=length,
-        project=project,
-        membership=lambda v: evaluate_norm(spec, v) <= 1.0 + 1e-9,
-        random_point=random_point,
-        to_boundary=to_boundary,
-        label=f"ball[{spec.label()}]",
-    )
+    return optim.gauge_ball(lambda V: evaluate_norms(spec, V), int(length),
+                            f"ball[{spec.label()}]")
 
 
 def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:

@@ -122,19 +122,18 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
             U, s, Vt = np.linalg.svd(M)
             return Witnessed(value=float(s[0]), witness=Vt[0],
                              bound_direction="exact", converged=True)
+        # the l2 lengths go through the scale-safe row_lengths kernel
         if math.isinf(cod.p):
-            row2 = np.sqrt(np.sum(M * M, axis=1))
+            row2 = vn.row_lengths(T.domain, M)
             i = int(np.argmax(row2))
-            w = M[i] / row2[i]
-            return Witnessed(value=float(row2[i]), witness=w,
+            return Witnessed(value=float(row2[i]), witness=M[i] / row2[i],
                              bound_direction="exact", converged=True)
         if e <= 12:  # cod l1
             S = vn._sign_vectors(e)
-            vals = np.sqrt(np.sum((S @ M) ** 2, axis=1))
+            imgs = S @ M
+            vals = vn.row_lengths(T.domain, imgs)
             i = int(np.argmax(vals))
-            w = (S[i] @ M)
-            w = w / np.linalg.norm(w)
-            return Witnessed(value=float(vals[i]), witness=w,
+            return Witnessed(value=float(vals[i]), witness=imgs[i] / vals[i],
                              bound_direction="exact", converged=True)
 
     def objective(X):
@@ -173,7 +172,7 @@ def _weak_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
         val, _ = vn.operator_norm_upper(X, dual_oracle, spec)
         return np.minimum(evaluate_norms(spec, vn.row_lengths(dom, X)), val)
 
-    return _handle_ball(handle, n * d, f"weakball[{dom.label}^{n}]")
+    return optim.gauge_ball(handle, n * d, f"weakball[{dom.label}^{n}]")
 
 
 def _strong_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
@@ -183,27 +182,7 @@ def _strong_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
     def handle(flat):
         return evaluate_norms(spec, vn.row_lengths(dom, flat.reshape(flat.shape[:-1] + (n, d))))
 
-    return _handle_ball(handle, n * d, f"strongball[{dom.label}^{n}]")
-
-
-def _handle_ball(handle, dim: int, label: str) -> Ball:
-    """Points whose handle, a certified stacked gauge, is at most 1."""
-
-    def project(flat):
-        return flat / np.maximum(handle(flat), 1.0)[..., None]
-
-    def to_boundary(flat):
-        h = float(handle(flat))
-        return flat if h == 0.0 else flat / h
-
-    return Ball(
-        dim=dim,
-        project=project,
-        membership=lambda flat: float(handle(flat)) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(dim)),
-        to_boundary=to_boundary,
-        label=label,
-    )
+    return optim.gauge_ball(handle, n * d, f"strongball[{dom.label}^{n}]")
 
 
 def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:

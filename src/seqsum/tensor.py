@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import optim, spaces, vector_norms as vn
-from .optim import Ball, OptBudget, Witnessed
+from .optim import OptBudget, Witnessed
 from .spaces import SpaceSpec, evaluate_norm, evaluate_norms
 from .summing import OperatorMatrix
 from .vector_norms import NormOracle, VectorSequence
@@ -159,14 +159,12 @@ def _block_cost(spec, dual_spec, u: Tensor, Xm, Ym):
     return lx * ly
 
 
-def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None, m: int = 4,
+def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
                  budget: OptBudget | None = None) -> Witnessed:
     """Single-block representation cost, minimized over exact factorizations.
 
     The reported value uses the certified cost strong(spec) x strong(dual
-    spec) and is a true upper bound.  A sharper, non-certified estimate that
-    replaces the second factor by the witnessed mid value at truncation m is
-    reported in details under "sharp_estimate".
+    spec) and is a true upper bound.
     """
     dual_spec = _require_dual(spec)
     E = u.entries
@@ -192,15 +190,11 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None, m: int = 4,
         raise ValueError("representation failed to reconstruct the tensor")
     res.details["rank"] = r
     res.details["representation"] = rep
-    ys = VectorSequence(u.codomain, mixed[1])
-    inner = vn.mid_norm(dual_spec, ys, m=m,
-                        budget=OptBudget(restarts=2, iterations=60, seed=131))
-    res.details["sharp_estimate"] = vn.strong_norm(spec, VectorSequence(u.domain, mixed[0])) * inner.value
     return res
 
 
 def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
-                   r: int | None = None, m: int = 4,
+                   r: int | None = None,
                    budget: OptBudget | None = None,
                    single_block: Witnessed | None = None) -> Witnessed:
     """Convexified representation cost over multi-block splits.
@@ -222,7 +216,7 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
         raise ValueError("need at least one block")
     r = r if r is not None else min(d, e)
     if single_block is None:
-        single_block = gamma_lambda(spec, u, r=r, m=m, budget=budget)
+        single_block = gamma_lambda(spec, u, r=r, budget=budget)
     B = blocks
     free = (B - 1) * d * e
 

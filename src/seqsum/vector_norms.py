@@ -68,30 +68,15 @@ class NormOracle:
     def norm(self, v) -> float:
         return float(row_lengths(self, v))
 
-    def _ball_of(self, oracle: "NormOracle") -> Ball:
-        dim = self.dim
-
-        def project(V):
-            return V / np.maximum(row_lengths(oracle, V), 1.0)[..., None]
-
-        def to_boundary(v):
-            n = oracle.norm(v)
-            return v if n == 0.0 else v / n
-
-        return Ball(
-            dim=dim,
-            project=project,
-            membership=lambda v: oracle.norm(v) <= 1.0 + 1e-9,
-            random_point=lambda rng: project(rng.standard_normal(dim)),
-            to_boundary=to_boundary,
-            label=f"ball[{self.label}]",
-        )
-
     def ball(self) -> Ball:
-        return self._ball_of(self)
+        return optim.gauge_ball(lambda V: row_lengths(self, V), self.dim,
+                                f"ball[{self.label}]")
 
     def dual_ball(self) -> Ball:
-        return self._ball_of(self.flip())
+        # the label stays the primal's, as search records have always shown it
+        dual = self.flip()
+        return optim.gauge_ball(lambda V: row_lengths(dual, V), self.dim,
+                                f"ball[{self.label}]")
 
 
 def lp_oracle(p: float, dim: int) -> NormOracle:
@@ -309,24 +294,7 @@ def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
         coarse = evaluate_norms(cod, row_lengths(dual, T))
         return np.minimum(val, coarse)
 
-    def project(flat):
-        return flat / np.maximum(kappa(flat), 1.0)[..., None]
-
-    def to_boundary(flat):
-        k = float(kappa(flat))
-        return flat if k == 0.0 else flat / k
-
-    def random_point(rng):
-        return project(rng.standard_normal(m * d))
-
-    return Ball(
-        dim=m * d,
-        project=project,
-        membership=lambda flat: float(kappa(flat)) <= 1.0 + 1e-9,
-        random_point=random_point,
-        to_boundary=to_boundary,
-        label=f"opball[{dom.label}->{cod.label()}^{m}]",
-    )
+    return optim.gauge_ball(kappa, m * d, f"opball[{dom.label}->{cod.label()}^{m}]")
 
 
 def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,

@@ -29,7 +29,7 @@ def test_parse_space_lp_variants():
 
 def test_parse_space_weighted_families():
     lor = cli.parse_space("lorentz:geometric:0.5:p=1")
-    assert lor.family == "lorentz" and lor.p == 1.0
+    assert lor.family == "garling_mu" and lor.p == 1.0
     assert np.allclose(lor.weights.materialize(3), [1.0, 0.5, 0.25])
     gm = cli.parse_space("garling_mu:power:1.5:p=2")
     w = gm.weights.materialize(3)

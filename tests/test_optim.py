@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from seqsum import optim, spaces, tensor, vector_norms as vn
+from seqsum import optim, spaces, summing, tensor, vector_norms as vn
 from seqsum.optim import Ball, InfeasibleSeedError, OptBudget
 from seqsum.spaces import OrliczFunction, WeightSeq
 
@@ -247,3 +247,80 @@ def test_converged_is_the_winning_restarts_flag():
                                    seeds=[np.array([0.0])])
     assert res.witness[0] == 0.0
     assert res.converged is True
+
+
+# ---------------------------------------------------------------------------
+# the gauge-ball contract, for every ball of a gauge the library builds
+
+GEOM = WeightSeq(prefix=(1.0,), tail="geometric:0.5")
+
+
+def _space_ball(spec, n=4):
+    return spaces.space_ball(spec, n), lambda v: spaces.evaluate_norm(spec, v)
+
+
+def _oracle_ball(p, dual):
+    o = vn.lp_oracle(p, 3)
+    q = spaces.conjugate_exponent(p) if dual else p
+    ball = o.dual_ball() if dual else o.ball()
+    return ball, lambda v: float(np.linalg.norm(v, ord=q))
+
+
+def _operator_ball():
+    dom, cod, m = vn.lp_oracle(2, 2), spaces.lp(3), 2
+
+    def kappa(v):
+        T = v.reshape(m, 2)
+        coarse = spaces.evaluate_norm(cod, vn.row_lengths(dom.flip(), T))
+        return min(vn.operator_norm_upper(T, dom, cod)[0], coarse)
+
+    return vn._operator_ball(dom, cod, m), kappa
+
+
+def _handle_ball(weak):
+    spec, dom, n = spaces.lp(1.5), vn.lp_oracle(3, 2), 3
+
+    def gauge(v):
+        xs = vn.VectorSequence(dom, v.reshape(n, 2))
+        return vn.weak_norm_upper(spec, xs) if weak else vn.strong_norm(spec, xs)
+
+    make = summing._weak_handle_ball if weak else summing._strong_handle_ball
+    return make(spec, dom, n), gauge
+
+
+GAUGE_BALLS = [
+    pytest.param(lambda: _space_ball(spaces.lp(1.5)), id="space-lp"),
+    pytest.param(lambda: _space_ball(spaces.orlicz(OrliczFunction("power_log", 1.5))),
+                 id="space-orlicz"),
+    pytest.param(lambda: _space_ball(spaces.garling_mu(GEOM, 2.0)), id="space-garling_mu"),
+    pytest.param(lambda: _space_ball(spaces.garling_nu(GEOM, 1.5)), id="space-garling_nu"),
+    pytest.param(lambda: _space_ball(spaces.sargent_m(WeightSeq(tail="sqrt"))),
+                 id="space-sargent_m"),
+    *[pytest.param(lambda p=p, dual=dual: _oracle_ball(p, dual),
+                   id=f"{'dual_ball' if dual else 'ball'}-l{p:g}")
+      for p in (1.0, 2.0, math.inf) for dual in (False, True)],
+    pytest.param(_operator_ball, id="operator"),
+    pytest.param(lambda: _handle_ball(weak=True), id="weak-handle"),
+    pytest.param(lambda: _handle_ball(weak=False), id="strong-handle"),
+]
+
+
+@pytest.mark.parametrize("make", GAUGE_BALLS)
+def test_gauge_ball_contract(make):
+    ball, gauge = make()
+    rng = np.random.default_rng(29)
+    # points well inside, near and well outside the ball, and the origin
+    X = rng.standard_normal((8, ball.dim)) * 10.0 ** rng.uniform(-2.0, 2.0, (8, 1))
+    X[-1] = 0.0
+    P = ball.project(X)
+    assert np.allclose(ball.project(P), P, rtol=1e-12, atol=0.0)
+    for x, p in zip(X, P):
+        assert ball.membership(p)
+        # a one-row stack is bit for bit a row of the stack; a bare 1-d point
+        # may differ by an ulp, where a 0-d power takes the scalar pow path
+        assert np.array_equal(ball.project(x[None])[0], p)
+        assert np.allclose(ball.project(x), p, rtol=1e-15, atol=0.0)
+        if np.any(x):
+            assert gauge(ball.to_boundary(x)) == pytest.approx(1.0, abs=1e-12)
+    for _ in range(5):
+        assert ball.membership(ball.random_point(rng))

@@ -437,6 +437,31 @@ def test_nip_fails_for_scale_families():
 
 
 # ---------------------------------------------------------------------------
+def test_lorentz_is_garling_mu():
+    # the DSL, the JSON schema and the constructor all give garling_mu
+    spec = spaces.garling_mu(GEOM_HALF, 2.0)
+    assert spaces.lorentz(GEOM_HALF, 2.0) == spec
+    data = {"family": "lorentz", "params": {"weights": "geometric:0.5", "p": 2}}
+    assert SpaceSpec.from_json(data) == spec
+    assert spec.to_json()["family"] == "garling_mu"
+    with pytest.raises(SpecValidationError):
+        SpaceSpec.from_json({"family": "lorentz",
+                             "params": {"weights": "sqrt", "p": 2}})  # growing
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0])
+def test_lorentz_dual_is_exact_nu(p):
+    spec = spaces.lorentz(GEOM_HALF, p)
+    w = GEOM_HALF.materialize(6)
+    rng = np.random.default_rng(17)
+    for _ in range(10):
+        y = rng.standard_normal(int(rng.integers(1, 7)))
+        res = spaces.dual_norm(spec, y, method="analytic")
+        assert res.bound_direction == "exact"
+        assert res.value == pytest.approx(oc.garling_nu_partition_oracle(w, p, y),
+                                          rel=1e-12, abs=0.0)
+
+
 # weights and validation
 
 

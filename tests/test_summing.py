@@ -74,6 +74,20 @@ def test_operator_norm_exact_branches_match_oracles():
     assert summing.operator_norm(T3).value == pytest.approx(want3, rel=1e-12)
 
 
+@pytest.mark.parametrize("cod", ["l1:2", "linf:2"])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_operator_norm_from_l2_is_scale_safe(cod, scale):
+    # the exact l2 branches neither overflow to inf nor underflow to 0
+    for M in (np.eye(2), np.array([[2.0, 1.0], [0.5, -1.0]])):
+        want = summing.operator_norm(op(M, cod=cod))
+        got = summing.operator_norm(op(scale * M, cod=cod))
+        assert got.bound_direction == "exact"
+        assert got.value == pytest.approx(scale * want.value, rel=1e-14, abs=0.0)
+        assert np.allclose(got.witness, want.witness, rtol=1e-14, atol=0.0)
+        assert vn.oracle_from_label(cod).norm(M @ got.witness) == pytest.approx(
+            want.value, rel=1e-14)
+
+
 def test_operator_norm_witnessed_fallback_is_lower_bound():
     rng = np.random.default_rng(52)
     M = rng.standard_normal((2, 2))

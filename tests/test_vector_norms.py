@@ -259,6 +259,14 @@ def test_profile_dual_pairing_bound():
         assert pair.value <= prof.values[j] + 1e-9
 
 
+def test_profile_accepts_lorentz_as_garling_mu():
+    xs = seq("l2:2", [[1.0, 0.5], [0.0, 2.0]])
+    fs = seq("l2:2", [[3.0, 4.0], [1.0, -1.0]])
+    lor = vn.limited_bound_profile(spaces.lorentz(GEOM_HALF, 1.0), xs, fs)
+    mu = vn.limited_bound_profile(spaces.garling_mu(GEOM_HALF, 1.0), xs, fs)
+    assert np.array_equal(lor.values, mu.values) and lor.total == mu.total
+
+
 def test_profile_requires_perfect_family():
     xs = seq("l2:2", [[1.0, 0.0]])
     fs = seq("l2:2", [[1.0, 0.0]])
