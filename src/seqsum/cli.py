@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__, spaces, summing, tensor, vector_norms as vn
-from .optim import OptBudget
+from .optim import OptBudget, Witnessed
 from .spaces import SpaceSpec, SpecValidationError, WeightSeq
 
 EXIT_OK = 0
@@ -124,11 +124,14 @@ def _load_space(args) -> SpaceSpec:
     return parse_space(args.space)
 
 
-def _parse_json_arg(text: str, what: str):
+def _load(text: str, what: str, from_json):
+    """from_json of the parsed text; a failure of either is exit 2, a bad space exit 3."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"malformed {what} JSON: {exc}", EXIT_BAD_INPUT) from exc
+        return from_json(json.loads(text))
+    except SpecValidationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(f"bad {what}: {exc}", EXIT_BAD_INPUT) from exc
 
 
 def _budget_from(args) -> OptBudget:
@@ -180,18 +183,23 @@ def _clean(value):
     return value
 
 
-def result_row(name: str, value: float, bound_direction: str, converged: bool,
-               elapsed_ms: float, witness=None) -> dict:
+def result_row(name: str, res: Witnessed, elapsed_ms: float) -> dict:
+    """The one place a report row is built; the witness is kept when there is one."""
     row = {
         "name": name,
-        "value": _clean(value),
-        "bound_direction": bound_direction,
-        "converged": bool(converged),
+        "value": _clean(res.value),
+        "bound_direction": res.bound_direction,
+        "converged": bool(res.converged),
         "elapsed_ms": round(float(elapsed_ms), 3),
     }
-    if witness is not None:
-        row["witness"] = _clean(witness)
+    if res.witness is not None:
+        row["witness"] = _clean(res.witness)
     return row
+
+
+def _exact(value: float, converged: bool = True) -> Witnessed:
+    return Witnessed(value=float(value), witness=None, bound_direction="exact",
+                     converged=converged)
 
 
 def emit_report(results: list[dict], config: dict, fmt: str = "json") -> str:
@@ -226,167 +234,84 @@ def _write_report(text: str, path: str | None):
         raise CliError(f"cannot write report to {path!r}: {exc}", EXIT_BAD_OUTPUT) from exc
 
 
-def _config_echo(args, **extra) -> dict:
-    cfg = {"subcommand": args.command, "seed": args.seed}
-    for key in ("space", "space_file", "format", "out", "restarts", "iterations"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    cfg.update({k: v for k, v in extra.items() if v is not None})
+def _config_echo(args) -> dict:
+    """The subcommand and every option that is set: given, or with a default."""
+    cfg = {k: v for k, v in vars(args).items() if v is not None and k != "command"}
+    cfg["subcommand"] = args.command
     return cfg
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each runner parses its input and returns [(name, Witnessed)]
+# together with the chain verdict (None when there is no chain to check).
 
 
-def _cmd_norm(args) -> int:
-    spec = _load_space(args)
-    seq = _parse_json_arg(args.seq, "sequence")
-    t0 = time.perf_counter()
-    try:
-        value = spaces.evaluate_norm(spec, seq)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"bad sequence: {exc}", EXIT_BAD_INPUT) from exc
-    ms = (time.perf_counter() - t0) * 1e3
-    print(f"{value:.12g}")
-    if args.out is not None:
-        rows = [result_row(f"norm[{spec.label()}]", value, "exact", True, ms)]
-        _write_report(emit_report(rows, _config_echo(args, seq=args.seq),
-                                  args.format), args.out)
-    return EXIT_OK
+def _run_norm(args, spec, budget):
+    value = _load(args.seq, "sequence", lambda seq: spaces.evaluate_norm(spec, seq))
+    return [(f"norm[{spec.label()}]", _exact(value))], None
 
 
-def _cmd_dual_norm(args) -> int:
-    spec = _load_space(args)
-    seq = _parse_json_arg(args.seq, "sequence")
-    budget = _budget_from(args)
-    t0 = time.perf_counter()
-    try:
-        res = spaces.dual_norm(spec, seq, budget=budget, method=args.method)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, SpecValidationError):
-            raise
-        raise CliError(f"bad sequence: {exc}", EXIT_BAD_INPUT) from exc
-    ms = (time.perf_counter() - t0) * 1e3
-    print(f"{res.value:.12g}")
-    if args.out is not None:
-        rows = [result_row(f"dual-norm[{spec.label()}]", res.value,
-                           res.bound_direction, res.converged, ms,
-                           witness=res.witness)]
-        _write_report(emit_report(rows, _config_echo(args, seq=args.seq,
-                                                     method=args.method),
-                                  args.format), args.out)
-    return EXIT_OK
+def _run_dual_norm(args, spec, budget):
+    res = _load(args.seq, "sequence",
+                lambda seq: spaces.dual_norm(spec, seq, budget=budget, method=args.method))
+    return [(f"dual-norm[{spec.label()}]", res)], None
 
 
-def _cmd_vecnorm(args) -> int:
-    spec = _load_space(args)
-    data = _parse_json_arg(args.vectors, "vector sequence")
-    try:
-        xs = vn.VectorSequence.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad vector sequence: {exc}", EXIT_BAD_INPUT) from exc
-    budget = _budget_from(args)
-    rows = []
-    t0 = time.perf_counter()
+def _run_vecnorm(args, spec, budget):
+    xs = _load(args.vectors, "vector sequence", vn.VectorSequence.from_json)
+    if args.kind == "chain":
+        rep = vn.chain_check(spec, xs, m=args.m, budget=budget)
+        return [("weak", rep.weak), ("mid", rep.mid), ("strong", _exact(rep.strong))], rep.ok()
     if args.kind == "strong":
-        value = vn.strong_norm(spec, xs)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(result_row("strong", value, "exact", True, ms))
-        print(f"{value:.12g}")
+        res = _exact(vn.strong_norm(spec, xs))
     elif args.kind == "weak":
         res = vn.weak_norm(spec, xs, budget=budget)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(result_row("weak", res.value, res.bound_direction,
-                               res.converged, ms, witness=res.witness))
-        print(f"{res.value:.12g}")
     elif args.kind == "weak-star":
         res = vn.weak_star_norm(spec, xs, budget=budget)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(result_row("weak-star", res.value, res.bound_direction,
-                               res.converged, ms, witness=res.witness))
-        print(f"{res.value:.12g}")
-    elif args.kind == "mid":
+    else:
         res = vn.mid_norm(spec, xs, m=args.m, budget=budget)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(result_row("mid", res.value, res.bound_direction,
-                               res.converged, ms, witness=res.witness))
-        print(f"{res.value:.12g}")
-    else:  # chain
-        rep = vn.chain_check(spec, xs, m=args.m, budget=budget)
-        ms = (time.perf_counter() - t0) * 1e3
-        rows.append(result_row("weak", rep.weak.value, rep.weak.bound_direction,
-                               rep.weak.converged, ms, witness=rep.weak.witness))
-        rows.append(result_row("mid", rep.mid.value, rep.mid.bound_direction,
-                               rep.mid.converged, ms, witness=rep.mid.witness))
-        rows.append(result_row("strong", rep.strong, "exact", True, ms))
-        print(f"{rep.weak.value:.12g} {rep.mid.value:.12g} {rep.strong:.12g} "
-              f"ok={rep.ok()}")
-        if not rep.ok():
-            if args.out is not None:
-                _write_report(emit_report(rows, _config_echo(args, kind=args.kind),
-                                          args.format), args.out)
-            return EXIT_VIOLATION
-    if args.out is not None:
-        _write_report(emit_report(rows, _config_echo(args, kind=args.kind,
-                                                     m=args.m),
-                                  args.format), args.out)
-    return EXIT_OK
+    return [(args.kind, res)], None
 
 
-def _cmd_summing(args) -> int:
-    spec = _load_space(args)
-    data = _parse_json_arg(args.operator, "operator")
-    try:
-        T = summing.OperatorMatrix.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad operator: {exc}", EXIT_BAD_INPUT) from exc
-    budget = _budget_from(args)
-    t0 = time.perf_counter()
+def _run_summing(args, spec, budget):
+    T = _load(args.operator, "operator", summing.OperatorMatrix.from_json)
     if args.kind == "pi":
         res = summing.pi_lambda(spec, T, n=args.n, budget=budget)
     elif args.kind == "pi-mid":
         res = summing.pi_lambda_mid(spec, T, n=args.n, m=args.m, budget=budget)
     else:
         res = summing.w_lambda_mid(spec, T, n=args.n, m=args.m, budget=budget)
-    ms = (time.perf_counter() - t0) * 1e3
-    print(f"{res.value:.12g}")
-    if args.out is not None:
-        rows = [result_row(f"{args.kind}[n={args.n}]", res.value,
-                           res.bound_direction, res.converged, ms,
-                           witness=res.witness)]
-        _write_report(emit_report(rows, _config_echo(args, kind=args.kind,
-                                                     n=args.n, m=args.m),
-                                  args.format), args.out)
-    return EXIT_OK
+    return [(f"{args.kind}[n={args.n}]", res)], None
 
 
-def _cmd_tensor(args) -> int:
-    spec = _load_space(args)
-    data = _parse_json_arg(args.tensor, "tensor")
-    try:
-        u = tensor.Tensor.from_json(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(f"bad tensor: {exc}", EXIT_BAD_INPUT) from exc
-    budget = _budget_from(args)
-    t0 = time.perf_counter()
+def _run_tensor(args, spec, budget):
+    u = _load(args.tensor, "tensor", tensor.Tensor.from_json)
     if args.kind == "gamma":
         res = tensor.gamma_lambda(spec, u, budget=budget)
     elif args.kind == "gamma-c":
         res = tensor.gamma_lambda_c(spec, u, blocks=args.blocks, budget=budget)
     else:
         res = tensor.injective_norm(u, budget=budget)
+    return [(args.kind, res)], None
+
+
+_RUNNERS = {"norm": _run_norm, "dual-norm": _run_dual_norm, "vecnorm": _run_vecnorm,
+            "summing": _run_summing, "tensor": _run_tensor}
+
+
+def _cmd_compute(args) -> int:
+    """Print the values (and the chain verdict); exit 1 only on a failed chain."""
+    spec = _load_space(args)
+    budget = _budget_from(args)
+    t0 = time.perf_counter()
+    results, ok = _RUNNERS[args.command](args, spec, budget)
     ms = (time.perf_counter() - t0) * 1e3
-    print(f"{res.value:.12g}")
+    print(" ".join(f"{res.value:.12g}" for _, res in results)
+          + ("" if ok is None else f" ok={ok}"))
     if args.out is not None:
-        rows = [result_row(f"{args.kind}", res.value, res.bound_direction,
-                           res.converged, ms, witness=res.witness)]
-        _write_report(emit_report(rows, _config_echo(args, kind=args.kind,
-                                                     blocks=getattr(args, "blocks",
-                                                                    None)),
-                                  args.format), args.out)
-    return EXIT_OK
+        rows = [result_row(name, res, ms) for name, res in results]
+        _write_report(emit_report(rows, _config_echo(args), args.format), args.out)
+    return EXIT_VIOLATION if ok is False else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +342,7 @@ def _suite_chain(trials: int, seed: int) -> tuple[list[dict], int]:
         rows.append(result_row(
             f"chain[{t}] {lam.label()} d={d} n={n} "
             f"w={rep.weak.value:.9g} mid={rep.mid.value:.9g} s={rep.strong:.9g}",
-            1.0 if ok else 0.0, "lower-of-sup", rep.weak.converged, ms))
+            _exact(ok, rep.weak.converged), ms))
     return rows, violations
 
 
@@ -444,7 +369,7 @@ def _suite_iteration(trials: int, seed: int) -> tuple[list[dict], int]:
         if not ok:
             violations += 1
         rows.append(result_row(f"iteration[{fam.label()}] max_gap={worst:.6g}",
-                               worst, "exact", True, ms))
+                               _exact(worst), ms))
     return rows, violations
 
 
@@ -480,8 +405,7 @@ def _suite_holder(trials: int, seed: int) -> tuple[list[dict], int]:
         if bad:
             violations += 1
         rows.append(result_row(
-            f"holder[{spec.label()}~{dual.label()}] violations={bad}",
-            float(bad), "exact", True, ms))
+            f"holder[{spec.label()}~{dual.label()}] violations={bad}", _exact(bad), ms))
     return rows, violations
 
 
@@ -506,7 +430,7 @@ def _suite_summing(trials: int, seed: int) -> tuple[list[dict], int]:
             violations += 1
         rows.append(result_row(
             f"summing[{t}] d={d} e={e} pi_mid={pm.value:.9g} w_mid={wm.value:.9g}",
-            1.0 if ok else 0.0, "lower-of-sup", pm.converged and wm.converged, ms))
+            _exact(ok, pm.converged and wm.converged), ms))
     return rows, violations
 
 
@@ -533,8 +457,7 @@ def _suite_tensor(trials: int, seed: int) -> tuple[list[dict], int]:
             violations += 1
         rows.append(result_row(
             f"tensor[{t}] gamma={g.value:.9g} gamma_c={gc.value:.9g} "
-            f"inj={inj.value:.9g}",
-            1.0 if ok else 0.0, "upper-of-inf", g.converged and gc.converged, ms))
+            f"inj={inj.value:.9g}", _exact(ok, g.converged and gc.converged), ms))
     return rows, violations
 
 
@@ -556,11 +479,9 @@ def _cmd_verify(args) -> int:
         trials = args.trials if args.trials is not None else default_trials
         rows, violations = fn(trials, args.seed)
         results.extend(rows)
-        results.append(result_row(f"{name}-violations", float(violations),
-                                  "exact", True, 0.0))
+        results.append(result_row(f"{name}-violations", _exact(violations), 0.0))
         total_violations += violations
-    config = _config_echo(args, suite=args.suite, trials=args.trials)
-    _write_report(emit_report(results, config, args.format), args.out)
+    _write_report(emit_report(results, _config_echo(args), args.format), args.out)
     if args.out is not None:
         print(f"violations={total_violations}")
     return EXIT_VIOLATION if total_violations else EXIT_OK
@@ -589,14 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("norm", help="scalar sequence norm")
     common(p)
     p.add_argument("--seq", required=True, help="JSON array of numbers")
-    p.set_defaults(fn=_cmd_norm)
 
     p = sub.add_parser("dual-norm", help="Kothe dual norm")
     common(p)
     p.add_argument("--seq", required=True)
     p.add_argument("--method", choices=("auto", "analytic", "optimize"),
                    default="auto")
-    p.set_defaults(fn=_cmd_dual_norm)
 
     p = sub.add_parser("vecnorm", help="vector-sequence norms")
     common(p)
@@ -605,7 +524,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vectors", required=True,
                    help='JSON {"oracle": "l2:2", "vectors": [[...], ...]}')
     p.add_argument("--m", type=int, default=4)
-    p.set_defaults(fn=_cmd_vecnorm)
 
     p = sub.add_parser("summing", help="summing-operator norms")
     common(p)
@@ -614,7 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON {"domain": "l2:2", "codomain": "l2:2", "rows": [...]}')
     p.add_argument("--n", type=int, default=4)
     p.add_argument("--m", type=int, default=4)
-    p.set_defaults(fn=_cmd_summing)
 
     p = sub.add_parser("tensor", help="tensor norms")
     common(p)
@@ -623,13 +540,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tensor", required=True,
                    help='JSON {"domain": "l2:2", "codomain": "l2:2", "entries": [...]}')
     p.add_argument("--blocks", type=int, default=3)
-    p.set_defaults(fn=_cmd_tensor)
 
     p = sub.add_parser("verify", help="run invariant suites")
     common(p, space=False)
     p.add_argument("--suite", choices=(*_SUITES, "all"), required=True)
     p.add_argument("--trials", type=int, default=None)
-    p.set_defaults(fn=_cmd_verify)
 
     return ap
 
@@ -639,7 +554,7 @@ def run(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         _check_counts(args)
-        return args.fn(args)
+        return _cmd_verify(args) if args.command == "verify" else _cmd_compute(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -337,30 +337,33 @@ class SpaceSpec:
 
     @classmethod
     def from_json(cls, data) -> "SpaceSpec":
+        """Parse a to_json body; a body of the wrong shape is a SpecValidationError."""
         try:
             fam = data["family"]
             params = data.get("params", {})
-        except (TypeError, KeyError) as exc:
-            raise SpecValidationError(f"malformed space spec: {data!r}") from exc
-        if fam == "lp":
-            raw = params.get("p")
-            p = math.inf if raw in ("inf", "Infinity") else float(raw)
-            return lp(p)
-        if fam == "c0":
-            return c0()
-        if fam == "orlicz":
-            M = params.get("M")
-            if isinstance(M, list):
-                return orlicz(tuple(OrliczFunction.from_json(f) for f in M))
-            return orlicz(OrliczFunction.from_json(M))
-        if fam == "lorentz":
-            fam = "garling_mu"  # the same norm under its older name
-        if fam in ("garling_mu", "garling_nu"):
-            w = WeightSeq.from_json(params.get("weights"))
-            p = float(params.get("p"))
-            return cls(family=fam, p=p, weights=w)
-        if fam in ("sargent_m", "sargent_n"):
-            return cls(family=fam, weights=WeightSeq.from_json(params.get("weights")))
+            if fam == "lp":
+                raw = params.get("p")
+                p = math.inf if raw in ("inf", "Infinity") else float(raw)
+                return lp(p)
+            if fam == "c0":
+                return c0()
+            if fam == "orlicz":
+                M = params.get("M")
+                if isinstance(M, list):
+                    return orlicz(tuple(OrliczFunction.from_json(f) for f in M))
+                return orlicz(OrliczFunction.from_json(M))
+            if fam == "lorentz":
+                fam = "garling_mu"  # the same norm under its older name
+            if fam in ("garling_mu", "garling_nu"):
+                w = WeightSeq.from_json(params.get("weights"))
+                p = float(params.get("p"))
+                return cls(family=fam, p=p, weights=w)
+            if fam in ("sargent_m", "sargent_n"):
+                return cls(family=fam, weights=WeightSeq.from_json(params.get("weights")))
+        except SpecValidationError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise SpecValidationError(f"malformed space spec {data!r}: {exc}") from exc
         raise SpecValidationError(f"unknown family {fam!r}")
 
 
@@ -502,7 +505,9 @@ def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.nda
     t = (A / scale) ** p
     if weights is not None:
         t = weights * t
-    return scale[..., 0] * t.sum(axis=-1) ** (1.0 / p)
+    # the power acts on an array even for one row, so a bare row has the bits
+    # it has inside a stack (a 0-d power takes the scalar pow path)
+    return (scale * t.sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
 
 def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:

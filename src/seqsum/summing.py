@@ -218,7 +218,7 @@ def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
 
 
 def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
-              budget: OptBudget | None = None, extra_seeds=None) -> Witnessed:
+              budget: OptBudget | None = None) -> Witnessed:
     """Summing constant: sup of image strong norm over weakly-bounded xs.
 
     Feasibility divides by the certified weak upper bound (over-normalizes),
@@ -236,18 +236,15 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
     def objective(flat):
         return _image_strong(spec, T, flat, n)
 
-    seeds = _sequence_seeds(T, n, ball)
-    for s in (extra_seeds or []):
-        seeds.append(ball.project(np.asarray(s, dtype=float).ravel()))
-    res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                   homogeneous=True)
+    res = optim.maximize_over_ball(objective, ball, budget=budget,
+                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True)
     res.details["n"] = n
     res.details["normalizer"] = "weak-upper"
     return res
 
 
 def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
-                  budget: OptBudget | None = None, extra_seeds=None) -> Witnessed:
+                  budget: OptBudget | None = None) -> Witnessed:
     """Mid-summing constant, normalized by the strong norm.
 
     The strong norm dominates the mid norm, so every candidate lies inside
@@ -266,11 +263,8 @@ def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     def objective(flat):
         return _image_strong(spec, T, flat, n)
 
-    seeds = _sequence_seeds(T, n, ball)
-    for s in (extra_seeds or []):
-        seeds.append(ball.project(np.asarray(s, dtype=float).ravel()))
-    res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                   homogeneous=True)
+    res = optim.maximize_over_ball(objective, ball, budget=budget,
+                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True)
     res.details["n"] = n
     res.details["normalizer"] = "strong"
     xs_hat = VectorSequence(T.domain, res.witness.reshape(n, T.domain.dim))

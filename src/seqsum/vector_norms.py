@@ -99,7 +99,7 @@ def oracle_from_label(label: str) -> NormOracle:
             return lp_oracle(math.inf, dim)
         if head.startswith("l"):
             return lp_oracle(float(head[1:]), dim)
-    except (ValueError, TypeError):
+    except (AttributeError, TypeError, ValueError):
         pass
     raise ValueError(f"unrecognized oracle label {label!r}")
 

@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from seqsum import cli, spaces
+from seqsum import cli, spaces, summing, tensor, vector_norms as vn
+from seqsum.optim import OptBudget, Witnessed
 from seqsum.spaces import SpecValidationError
 
 
@@ -89,10 +90,31 @@ _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
     (["norm", "--space", "lp:nan", "--seq", "[1, 2]"], None, 3),
     (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS,
       "--seed", "-1"], None, 2),
-], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative"])
-def test_malformed_input_exits_2_or_3(argv, env, want, monkeypatch, capsys):
+    # valid JSON of the wrong shape; after --space-file stands the file's body
+    *[(["norm", "--space-file", body, "--seq", "[1, 2]"], None, 3) for body in (
+        '{"family": "lp", "params": {"p": "x"}}',
+        '{"family": "lp", "params": {}}',
+        '{"family": "garling_mu", "params": {"weights": "geometric:0.5"}}',
+        '{"family": "orlicz", "params": {"M": {"kind": "power"}}}',
+        '{"family": "sargent_m", "params": {"weights": 5}}',
+        '{"family": "lp", "params": []}')],
+    (["vecnorm", "--kind", "weak", "--space", "lp:2",
+      "--vectors", '{"oracle": 5, "vectors": [[1]]}'], None, 2),
+    (["summing", "--kind", "pi", "--space", "lp:2",
+      "--operator", '{"domain": 2, "codomain": "l2:1", "rows": [[1.0]]}'], None, 2),
+    (["tensor", "--kind", "gamma", "--space", "lp:2",
+      "--tensor", '{"domain": null, "codomain": "l2:1", "entries": [[1.0]]}'], None, 2),
+], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative",
+        "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
+        "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null"])
+def test_malformed_input_exits_2_or_3(argv, env, want, tmp_path, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("SEQSUM_BUDGET", env)
+    if "--space-file" in argv:
+        i = argv.index("--space-file") + 1
+        path = tmp_path / "space.json"
+        path.write_text(argv[i])
+        argv = argv[:i] + [str(path)] + argv[i + 1:]
     code, out, err = run_cli(argv, capsys)
     assert code == want
     assert out == ""
@@ -168,6 +190,91 @@ def test_tensor_command(capsys):
     assert float(out.strip()) == pytest.approx(1.0, abs=1e-6)
 
 
+_SEQ = "[1, -2, 0.5]"
+_OP = '{"domain": "l2:2", "codomain": "l3:2", "rows": [[1, 0.5], [0.2, -1]]}'
+_TN = '{"domain": "l2:2", "codomain": "l2:2", "entries": [[1, 0.3], [0.2, -1]]}'
+_SMALL = OptBudget(restarts=2, iterations=40, seed=1729)
+
+
+def _library_results(sub, kind):
+    """What the library gives for the inputs of the compute case (sub, kind)."""
+    lam = spaces.lp(3)
+    xs = vn.VectorSequence.from_json(json.loads(_VECTORS))
+    T = summing.OperatorMatrix.from_json(json.loads(_OP))
+    u = tensor.Tensor.from_json(json.loads(_TN))
+    calls = {
+        ("norm", None): lambda: [spaces.evaluate_norm(lam, json.loads(_SEQ))],
+        ("dual-norm", None): lambda: [spaces.dual_norm(lam, json.loads(_SEQ), budget=_SMALL)],
+        ("vecnorm", "strong"): lambda: [vn.strong_norm(lam, xs)],
+        ("vecnorm", "weak"): lambda: [vn.weak_norm(lam, xs, budget=_SMALL)],
+        ("vecnorm", "weak-star"): lambda: [vn.weak_star_norm(lam, xs, budget=_SMALL)],
+        ("vecnorm", "mid"): lambda: [vn.mid_norm(lam, xs, m=2, budget=_SMALL)],
+        ("vecnorm", "chain"): lambda: [
+            (rep := vn.chain_check(lam, xs, m=2, budget=_SMALL)).weak, rep.mid, rep.strong],
+        ("summing", "pi"): lambda: [summing.pi_lambda(lam, T, n=2, budget=_SMALL)],
+        ("summing", "pi-mid"): lambda: [summing.pi_lambda_mid(lam, T, n=2, m=2,
+                                                              budget=_SMALL)],
+        ("summing", "w-mid"): lambda: [summing.w_lambda_mid(lam, T, n=2, m=2, budget=_SMALL)],
+        ("tensor", "gamma"): lambda: [tensor.gamma_lambda(lam, u, budget=_SMALL)],
+        ("tensor", "gamma-c"): lambda: [tensor.gamma_lambda_c(lam, u, blocks=2,
+                                                              budget=_SMALL)],
+        ("tensor", "injective"): lambda: [tensor.injective_norm(u, budget=_SMALL)],
+    }
+    return calls[sub, kind]()
+
+
+_INPUTS = {"norm": ["--seq", _SEQ], "dual-norm": ["--seq", _SEQ],
+           "vecnorm": ["--vectors", _VECTORS, "--m", "2"],
+           "summing": ["--operator", _OP, "--n", "2", "--m", "2"],
+           "tensor": ["--tensor", _TN, "--blocks", "2"]}
+
+
+@pytest.mark.parametrize("sub, kind", [
+    ("norm", None), ("dual-norm", None),
+    *[("vecnorm", k) for k in ("strong", "weak", "weak-star", "mid", "chain")],
+    *[("summing", k) for k in ("pi", "pi-mid", "w-mid")],
+    *[("tensor", k) for k in ("gamma", "gamma-c", "injective")],
+])
+def test_every_compute_reports_its_witnessed(sub, kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("SEQSUM_BUDGET", raising=False)
+    out_path = tmp_path / "report.json"
+    argv = [sub, *(["--kind", kind] if kind else []), "--space", "lp:3", *_INPUTS[sub],
+            "--restarts", "2", "--iterations", "40", "--out", str(out_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    report = cli.parse_report(out_path.read_text())
+    rows, printed = report["results"], out.split()
+    if kind == "chain":
+        assert printed.pop() == "ok=True"
+    assert len(printed) == len(rows)
+    for word, row, res in zip(printed, rows, _library_results(sub, kind)):
+        assert float(word) == pytest.approx(row["value"], rel=1e-11, abs=0.0)
+        assert row["value"] == pytest.approx(getattr(res, "value", res), rel=1e-12)
+        assert ("witness" in row) == (getattr(res, "witness", None) is not None)
+    # the subcommand and every option given, input JSON included, are echoed
+    config = report["config"]
+    assert config["subcommand"] == sub and config.get("kind") == kind
+    for flag, val in zip(argv[1::2], argv[2::2]):
+        assert str(config[flag[2:].replace("-", "_")]) == val
+
+
+def test_failed_chain_exits_1_and_writes_report(tmp_path, monkeypatch, capsys):
+    def failing_chain(spec, xs, m, budget):
+        weak = Witnessed(2.0, np.ones(2), "lower-of-sup", True)
+        mid = Witnessed(1.0, np.ones(2), "lower-of-sup", True)
+        return vn.ChainReport(weak=weak, mid=mid, strong=3.0, violations=("weak > mid",))
+
+    monkeypatch.setattr(vn, "chain_check", failing_chain)
+    out_path = tmp_path / "report.json"
+    code, out, _ = run_cli(["vecnorm", "--kind", "chain", "--space", "lp:2",
+                            "--vectors", _VECTORS, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert out.strip() == "2 1 3 ok=False"
+    rows = cli.parse_report(out_path.read_text())["results"]
+    assert [(r["name"], r["value"], "witness" in r) for r in rows] == [
+        ("weak", 2.0, True), ("mid", 1.0, True), ("strong", 3.0, False)]
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -232,6 +339,8 @@ def test_verify_chain_suite(capsys):
     names = [r["name"] for r in report["results"]]
     assert any(n.startswith("chain[") for n in names)
     assert "chain-violations" in names
+    # a pass flag is computed exactly, whatever the direction of the values it checks
+    assert all(r["bound_direction"] == "exact" for r in report["results"])
 
 
 def test_verify_iteration_suite_flags_scale_families(capsys):
