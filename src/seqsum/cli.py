@@ -278,7 +278,7 @@ def _run_summing(args, spec, budget):
     if args.kind == "pi":
         res = summing.pi_lambda(spec, T, n=args.n, budget=budget)
     elif args.kind == "pi-mid":
-        res = summing.pi_lambda_mid(spec, T, n=args.n, m=args.m, budget=budget)
+        res = summing.pi_lambda_mid(spec, T, n=args.n, budget=budget)
     else:
         res = summing.w_lambda_mid(spec, T, n=args.n, m=args.m, budget=budget)
     return [(f"{args.kind}[n={args.n}]", res)], None
@@ -420,7 +420,7 @@ def _suite_summing(trials: int, seed: int) -> tuple[list[dict], int]:
         dom, cod = vn.lp_oracle(2, d), vn.lp_oracle(2, e)
         T = summing.OperatorMatrix(dom, cod, rng.standard_normal((e, d)))
         t0 = time.perf_counter()
-        pm = summing.pi_lambda_mid(lam, T, n=3, m=3, budget=budget)
+        pm = summing.pi_lambda_mid(lam, T, n=3, budget=budget)
         c1 = summing.strong_mid_witness_check(lam, T, pm)
         wm = summing.w_lambda_mid(lam, T, n=3, m=3, budget=budget)
         c2 = summing.mid_weak_witness_check(lam, T, wm)

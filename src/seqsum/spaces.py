@@ -406,11 +406,12 @@ def sargent_n(weights: WeightSeq) -> SpaceSpec:
 # Evaluators
 
 
-def _moduli(coeffs) -> np.ndarray:
-    arr = np.abs(np.asarray(coeffs, dtype=float).ravel())
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("sequence entries must be finite")
-    return arr
+def _sequence(coeffs) -> np.ndarray:
+    """A sequence as a float array; anything but a 1-d array is refused."""
+    x = np.asarray(coeffs, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"a sequence must be a 1-d array, not {x.ndim}-d")
+    return x
 
 
 def decreasing_rearrangement(coeffs) -> np.ndarray:
@@ -419,7 +420,9 @@ def decreasing_rearrangement(coeffs) -> np.ndarray:
     Ties keep the order of their original indices, so the result is a
     deterministic function of the input.
     """
-    m = _moduli(coeffs)
+    m = np.abs(_sequence(coeffs))
+    if not np.all(np.isfinite(m)):
+        raise ValueError("sequence entries must be finite")
     order = np.argsort(-m, kind="stable")
     return m[order]
 
@@ -577,7 +580,7 @@ def evaluate_norm(spec: SpaceSpec, coeffs) -> float:
     No family runs a search: Garling nu has the closed form of the level
     function, and the Orlicz gauge is bisected to 4e-13 relative.
     """
-    return float(evaluate_norms(spec, np.asarray(coeffs, dtype=float).reshape(1, -1))[0])
+    return float(evaluate_norms(spec, _sequence(coeffs)[None])[0])
 
 
 def unit_vector_norm(spec: SpaceSpec, n: int) -> float:
@@ -624,48 +627,41 @@ def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
 
 
 def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
-    """Candidate maximizers of alpha -> sum |alpha*beta| over the unit ball.
+    """Candidate maximizers of alpha -> sum |alpha*beta| over the unit ball, beta != 0.
 
     Includes classical equality witnesses for the families whose duality is
     sharp, so the optimizer starts essentially at the answer.
     """
     n = beta.size
-    mod = np.abs(beta)
+    # seeds are directions only, so scaled moduli keep their powers finite
+    mod = np.abs(beta) / np.abs(beta).max()
     seeds = []
     top = int(np.argmax(mod))
     e = np.zeros(n)
     e[top] = 1.0
     seeds.append(e)
-    support = (mod > 0).astype(float)
-    if support.any():
-        seeds.append(support)
+    seeds.append((mod > 0).astype(float))
     order = np.argsort(-mod, kind="stable")
     bhat = mod[order]
     nnz = int(np.count_nonzero(bhat))
     fam = spec.family
-    if fam == "lp" and nnz:
-        if math.isinf(spec.p):
-            seeds.append(support)
-        elif spec.p == 1.0:
-            pass  # e_top already sharp
-        else:
-            q = conjugate_exponent(spec.p)
-            prof = mod ** (q - 1.0)
-            seeds.append(prof)
-    if fam == "sargent_m" and nnz:
+    # e_top is sharp for lp(1), and the support for lp(inf)
+    if fam == "lp" and 1.0 < spec.p < math.inf:
+        seeds.append(mod ** (conjugate_exponent(spec.p) - 1.0))
+    if fam == "sargent_m":
         # increment profile placed at the positions of the largest moduli
         dtop = _sargent_delta_top(spec.weights, nnz)
         v = np.zeros(n)
         v[order[:nnz]] = dtop
         seeds.append(v)
-    if fam == "sargent_n" and nnz:
+    if fam == "sargent_n":
         phi = spec.weights.materialize(nnz)
         partial = np.cumsum(bhat[:nnz])
         s_star = int(np.argmax(partial / phi))
         v = np.zeros(n)
         v[order[: s_star + 1]] = 1.0 / phi[s_star]
         seeds.append(v)
-    if fam == "garling_mu" and nnz:
+    if fam == "garling_mu":
         a = spec.weights.materialize(nnz)
         v = np.zeros(n)
         if spec.p > 1.0:
@@ -674,15 +670,13 @@ def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
             prof = (bhat[:nnz] >= np.max(bhat[:nnz] / a) * a).astype(float)
         v[order[:nnz]] = prof
         seeds.append(v)
-    if fam == "garling_nu" and nnz:
-        dual = garling_mu(spec.weights, spec.p)
-        mu_val = evaluate_norm(dual, beta)
-        if mu_val > 0:
-            a = spec.weights.materialize(nnz)
-            v = np.zeros(n)
-            v[order[:nnz]] = a * (bhat[:nnz] / mu_val) ** (spec.p - 1.0)
-            seeds.append(v)
-    if fam == "orlicz" and nnz:
+    if fam == "garling_nu":
+        mu_val = evaluate_norm(garling_mu(spec.weights, spec.p), mod)
+        a = spec.weights.materialize(nnz)
+        v = np.zeros(n)
+        v[order[:nnz]] = a * (bhat[:nnz] / mu_val) ** (spec.p - 1.0)
+        seeds.append(v)
+    if fam == "orlicz":
         for t in (1.0, 2.0):
             seeds.append(mod**t)
     return [s for s in seeds if np.any(s)]
@@ -699,7 +693,7 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
     """
     if method not in ("auto", "analytic", "optimize"):
         raise ValueError(f"unknown method {method!r}")
-    beta = np.asarray(coeffs, dtype=float).ravel()
+    beta = _sequence(coeffs)
     dual = kothe_dual_spec(spec)
     if method in ("auto", "analytic"):
         if dual is not None:

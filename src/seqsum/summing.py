@@ -5,8 +5,9 @@ strong norm against the input sequence's weak, mid, or composed handle.  To
 keep lower-of-sup semantics every normalizer is a certified over-estimate of
 the true constraint norm (weak gets its operator-norm upper bound, mid gets
 the strong norm), so each witness is genuinely feasible and each reported
-value is a true lower bound.  Sharpness is recovered by structured seeds:
-singular directions, canonical bases, and rank-one compositions.
+value is a true lower bound.  Against the strong norm the supremum is ||T||
+by normality, so the mid constant needs no search; the weak-handled ones
+start from singular directions, canonical bases and rank-one compositions.
 """
 
 from __future__ import annotations
@@ -175,16 +176,6 @@ def _weak_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
     return optim.gauge_ball(handle, n * d, f"weakball[{dom.label}^{n}]")
 
 
-def _strong_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
-    """Sequences xs with strong norm at most 1 (feasible for the mid ball)."""
-    d = dom.dim
-
-    def handle(flat):
-        return evaluate_norms(spec, vn.row_lengths(dom, flat.reshape(flat.shape[:-1] + (n, d))))
-
-    return optim.gauge_ball(handle, n * d, f"strongball[{dom.label}^{n}]")
-
-
 def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:
     M = T.entries
     d = T.domain.dim
@@ -245,33 +236,21 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
 
 def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
                   budget: OptBudget | None = None) -> Witnessed:
-    """Mid-summing constant, normalized by the strong norm.
+    """Mid-summing constant, normalized by the strong norm: ||T||.
 
-    The strong norm dominates the mid norm, so every candidate lies inside
-    the true mid ball and the value is a sound lower bound.  The witness's
-    own mid value (an inner lower-of-sup at truncation m) is reported in
-    details as informational sharpness data.
+    The strong norm dominates the mid norm, so the value is a sound lower
+    bound.  By normality ||(T x_i)||_s <= ||T|| ||(x_i)||_s, with equality at
+    a single vector, so the sup is operator_norm(T): its value and converged,
+    and its witness as the first of n rows, scaled into the strong unit ball.
+    m is unused; it stays only for callers that still pass it.
     """
     if n < 1:
         raise ValueError("sequence length n must be >= 1")
-    if not np.any(T.entries):
-        return Witnessed(value=0.0, witness=np.zeros(n * T.domain.dim),
-                         bound_direction="lower-of-sup", converged=True,
-                         details={"n": n, "normalizer": "strong"})
-    ball = _strong_handle_ball(spec, T.domain, n)
-
-    def objective(flat):
-        return _image_strong(spec, T, flat, n)
-
-    res = optim.maximize_over_ball(objective, ball, budget=budget,
-                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True)
-    res.details["n"] = n
-    res.details["normalizer"] = "strong"
-    xs_hat = VectorSequence(T.domain, res.witness.reshape(n, T.domain.dim))
-    inner = vn.mid_norm(spec, xs_hat, m=m,
-                        budget=OptBudget(restarts=2, iterations=60, seed=97))
-    res.details["witness_mid_value"] = inner.value
-    return res
+    op = operator_norm(T, budget=budget)
+    X = np.zeros((n, T.domain.dim))
+    X[0] = op.witness / spaces.unit_vector_norm(spec, 1)
+    return Witnessed(value=op.value, witness=X.ravel(), bound_direction="lower-of-sup",
+                     converged=op.converged, details={"n": n, "normalizer": "strong"})
 
 
 def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
@@ -383,11 +362,12 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
                         budget: OptBudget | None = None) -> IdealReport:
     """Witness-sound form of the two-sided composition inequality.
 
-    Runs the mid-summing search on the composition R T S, then checks, at its
-    witness xs: (a) the outer factor peels off through the operator-norm
-    upper bound of R; (b) the inner factor: the witness's own image mid value
-    under S is dominated by the upper bound of S times the mid value of xs
-    when the latter search is seeded with the composed operator witness.
+    Takes the mid-summing witness xs of the composition R T S, then checks
+    at it: (a) the outer factor peels off through the operator-norm upper
+    bound of R; (b) the inner factor: the witness's own image mid value
+    under S, searched at truncation m, is dominated by the upper bound of S
+    times the mid value of xs when the latter search is seeded with the
+    composed operator witness.
     """
     if R.domain.dim != T.codomain.dim or T.domain.dim != S.codomain.dim:
         raise ValueError("operators do not compose")
@@ -395,7 +375,7 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
                           entries=R.entries @ T.entries @ S.entries)
     TS = OperatorMatrix(domain=S.domain, codomain=T.codomain,
                         entries=T.entries @ S.entries)
-    res = pi_lambda_mid(spec, comp, n=n, m=m, budget=budget)
+    res = pi_lambda_mid(spec, comp, n=n, budget=budget)
     flat = res.witness
     X = flat.reshape(n, S.domain.dim)
 

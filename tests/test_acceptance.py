@@ -211,7 +211,7 @@ def test_criterion_5_summing_suite():
         e = int(rng.integers(1, 4))
         l2d, l2e = vn.lp_oracle(2, d), vn.lp_oracle(2, e)
         T = summing.OperatorMatrix(l2d, l2e, rng.standard_normal((e, d)))
-        pm = summing.pi_lambda_mid(lp2, T, n=3, m=3, budget=LIGHT)
+        pm = summing.pi_lambda_mid(lp2, T, n=3, budget=LIGHT)
         if not summing.strong_mid_witness_check(lp2, T, pm).ok:
             bad_witness += 1
         wm = summing.w_lambda_mid(lp2, T, n=3, m=3, budget=LIGHT)

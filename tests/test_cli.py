@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -104,9 +105,15 @@ _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
       "--operator", '{"domain": 2, "codomain": "l2:1", "rows": [[1.0]]}'], None, 2),
     (["tensor", "--kind", "gamma", "--space", "lp:2",
       "--tensor", '{"domain": null, "codomain": "l2:1", "entries": [[1.0]]}'], None, 2),
+    # a sequence is a flat JSON array
+    (["norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], None, 2),
+    (["norm", "--space", "lp:2", "--seq", "3"], None, 2),
+    (["norm", "--space", "lp:2", "--seq", "true"], None, 2),
+    (["dual-norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], None, 2),
 ], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative",
         "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
-        "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null"])
+        "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null",
+        "seq-2d", "seq-number", "seq-bool", "dual-seq-2d"])
 def test_malformed_input_exits_2_or_3(argv, env, want, tmp_path, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("SEQSUM_BUDGET", env)
@@ -140,6 +147,20 @@ def test_dual_norm_command(capsys):
                            capsys)
     assert code == 0
     assert out.strip() == "3"
+
+
+@pytest.mark.parametrize("space", ["lp:1.5", "garling_mu:geometric:0.5:p=1.5",
+                                   "orlicz:power:2"])
+def test_dual_norm_command_huge_input(space, tmp_path, capsys):
+    seq, out_path = "[1e300,1e300]", tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["dual-norm", "--space", space, "--seq", seq,
+                                "--out", str(out_path)], capsys)
+    assert code == 0, err
+    value = json.loads(out_path.read_text())["results"][0]["value"]
+    dual = spaces.kothe_dual_spec(cli.parse_space(space))
+    assert value == pytest.approx(spaces.evaluate_norm(dual, json.loads(seq)), rel=1e-12)
 
 
 def test_dual_norm_command_garling_mu_default_p1(capsys):
@@ -212,8 +233,7 @@ def _library_results(sub, kind):
         ("vecnorm", "chain"): lambda: [
             (rep := vn.chain_check(lam, xs, m=2, budget=_SMALL)).weak, rep.mid, rep.strong],
         ("summing", "pi"): lambda: [summing.pi_lambda(lam, T, n=2, budget=_SMALL)],
-        ("summing", "pi-mid"): lambda: [summing.pi_lambda_mid(lam, T, n=2, m=2,
-                                                              budget=_SMALL)],
+        ("summing", "pi-mid"): lambda: [summing.pi_lambda_mid(lam, T, n=2, budget=_SMALL)],
         ("summing", "w-mid"): lambda: [summing.w_lambda_mid(lam, T, n=2, m=2, budget=_SMALL)],
         ("tensor", "gamma"): lambda: [tensor.gamma_lambda(lam, u, budget=_SMALL)],
         ("tensor", "gamma-c"): lambda: [tensor.gamma_lambda_c(lam, u, blocks=2,

@@ -9,7 +9,7 @@ import pytest
 import oracles as oc
 from seqsum import spaces, summing, vector_norms as vn
 from seqsum.optim import OptBudget
-from seqsum.spaces import WeightSeq
+from seqsum.spaces import OrliczFunction, WeightSeq
 
 LP2 = spaces.lp(2)
 LIGHT = OptBudget(restarts=3, iterations=120)
@@ -155,20 +155,20 @@ def test_pi_rank_one_domination():
 
 def test_pi_mid_identity_scalar():
     T = op([[1.0]], dom="l2:1", cod="l2:1")
-    res = summing.pi_lambda_mid(spaces.lp(1), T, n=2, m=2, budget=LIGHT)
-    assert res.value == pytest.approx(1.0, abs=1e-6)
+    res = summing.pi_lambda_mid(spaces.lp(1), T, n=2, budget=LIGHT)
+    assert res.value == 1.0
 
 
 def test_pi_mid_zero():
     T = op([[0.0, 0.0], [0.0, 0.0]])
-    assert summing.pi_lambda_mid(LP2, T, n=2, m=2, budget=LIGHT).value == 0.0
+    assert summing.pi_lambda_mid(LP2, T, n=2, budget=LIGHT).value == 0.0
 
 
 def test_pi_mid_strong_mid_inequality_on_witness():
     rng = np.random.default_rng(56)
     for _ in range(5):
         T = op(rng.standard_normal((2, 2)))
-        res = summing.pi_lambda_mid(LP2, T, n=3, m=3, budget=LIGHT)
+        res = summing.pi_lambda_mid(LP2, T, n=3, budget=LIGHT)
         chk = summing.strong_mid_witness_check(LP2, T, res)
         assert chk.ok, (chk.lhs, chk.rhs)
 
@@ -180,7 +180,7 @@ def test_pi_mid_rank_one_seeded_inequality():
         y = rng.standard_normal(2)
         l2 = vn.lp_oracle(2, 2)
         T = summing.rank_one_operator(l2, l2, f, y)
-        res = summing.pi_lambda_mid(LP2, T, n=3, m=3, budget=LIGHT)
+        res = summing.pi_lambda_mid(LP2, T, n=3, budget=LIGHT)
         fn = float(np.linalg.norm(f))
         X = res.witness.reshape(3, 2)
         xs = vn.VectorSequence(l2, X)
@@ -188,6 +188,45 @@ def test_pi_mid_rank_one_seeded_inequality():
                              weak_witness=f / fn)
         lhs = vn.strong_norm(LP2, vn.VectorSequence(l2, X @ T.entries.T))
         assert lhs <= fn * float(np.linalg.norm(y)) * seeded.value + 1e-9
+
+
+_MID_SPECS = {
+    "lp1": spaces.lp(1),
+    "lp3": spaces.lp(3),
+    "sargent_m": spaces.sargent_m(WeightSeq(prefix=(1.0,), tail="sqrt")),
+    "garling_mu": spaces.garling_mu(WeightSeq(prefix=(1.0,), tail="geometric:0.5"), 2.0),
+    "orlicz": spaces.orlicz(OrliczFunction("power_log", 1.5)),
+}
+
+
+@pytest.mark.parametrize("dom, cod", [("l1:2", "l3:3"), ("l2:3", "l1:2"),
+                                      ("linf:2", "l2:3"), ("l3:2", "l2:2")])
+@pytest.mark.parametrize("name", list(_MID_SPECS))
+def test_pi_mid_is_the_operator_norm(name, dom, cod):
+    spec = _MID_SPECS[name]
+    D, C = vn.oracle_from_label(dom), vn.oracle_from_label(cod)
+    # at linf:2 -> l2:3 this matrix stalls a compass search over 3-term
+    # sequences 4% below ||T|| for garling_mu
+    M = np.random.default_rng(29).standard_normal((C.dim, D.dim))
+    T = summing.OperatorMatrix(D, C, M)
+    res = summing.pi_lambda_mid(spec, T, n=3, budget=LIGHT)
+    opn = summing.operator_norm(T, budget=LIGHT)
+    assert res.value == opn.value
+    assert res.bound_direction == "lower-of-sup"
+    X = res.witness.reshape(3, D.dim)
+    assert not np.any(X[1:])
+
+    def strong(Y, oracle):
+        return vn.strong_norm(spec, vn.VectorSequence(oracle, Y))
+
+    assert strong(X, D) <= 1.0 + 1e-12
+    assert strong(X @ M.T, C) == pytest.approx(res.value, rel=1e-12, abs=0.0)
+    if opn.bound_direction == "exact":
+        # normality: no sequence beats ||T|| against its strong norm
+        rng = np.random.default_rng(60)
+        for _ in range(200):
+            Y = rng.standard_normal((int(rng.integers(1, 5)), D.dim))
+            assert strong(Y @ M.T, C) <= res.value * strong(Y, D) * (1.0 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -279,5 +318,5 @@ def test_pi_with_scale_family():
     assert res.value > 0.0
     assert res.bound_direction == "lower-of-sup"
     chk = summing.strong_mid_witness_check(
-        sm, T, summing.pi_lambda_mid(sm, T, n=2, m=2, budget=LIGHT))
+        sm, T, summing.pi_lambda_mid(sm, T, n=2, budget=LIGHT))
     assert chk.ok
