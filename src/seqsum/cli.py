@@ -51,27 +51,30 @@ def parse_space(text: str) -> SpaceSpec:
     positive number (power:1.5 means weights j^-1.5); for the Sargent scale
     families it is the growth exponent (power:0.5 means j^0.5).
     """
-    parts = text.strip().split(":")
-    fam = parts[0]
+    fam, *args = text.strip().split(":")
     try:
         if fam == "lp":
-            p = math.inf if parts[1] in ("inf", "oo") else float(parts[1])
+            (raw,) = args
+            p = math.inf if raw in ("inf", "oo") else float(raw)
             return spaces.lp(p)
         if fam == "c0":
+            if args:
+                raise SpecValidationError(f"c0 takes no parameters, got {args}")
             return spaces.c0()
         if fam == "orlicz":
-            kind = parts[1]
-            if kind == "power":
-                return spaces.orlicz(spaces.OrliczFunction(kind="power", p=float(parts[2])))
-            if kind in ("powerlog", "power_log"):
-                return spaces.orlicz(spaces.OrliczFunction(kind="power_log", p=float(parts[2])))
-            raise CliError(f"orlicz DSL supports power/powerlog, not {kind!r}; "
-                           "use --space-file for tabulated functions", EXIT_BAD_SPEC)
+            kind, *rest = args
+            fn = {"power": "power", "powerlog": "power_log", "power_log": "power_log"}.get(kind)
+            if fn is None:
+                raise CliError(f"orlicz DSL supports power/powerlog, not {kind!r}; "
+                               "use --space-file for tabulated functions", EXIT_BAD_SPEC)
+            (raw,) = rest
+            return spaces.orlicz(spaces.OrliczFunction(kind=fn, p=float(raw)))
         if fam in _DECAY_FAMILIES or fam in _SCALE_FAMILIES:
             p = None
             tail_parts = []
-            for piece in parts[1:]:
-                if piece.startswith("p="):
+            for piece in args:
+                # only the decay families have an exponent, and only one
+                if piece.startswith("p=") and fam in _DECAY_FAMILIES and p is None:
                     p = float(piece[2:])
                 else:
                     tail_parts.append(piece)
@@ -88,25 +91,21 @@ def parse_space(text: str) -> SpaceSpec:
         raise
     except SpecValidationError:
         raise
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise SpecValidationError(f"cannot parse space {text!r}: {exc}") from exc
     raise SpecValidationError(f"unknown space family {fam!r}")
 
 
 def _parse_tail(fam: str, tail_parts: list[str]) -> str | None:
-    if not tail_parts or tail_parts == ["const"]:
-        return None
-    kind = tail_parts[0]
-    if kind == "sqrt":
-        return "sqrt"
-    if kind == "geometric":
-        return f"geometric:{float(tail_parts[1])}"
-    if kind == "power":
-        rate = float(tail_parts[1])
-        if fam in _DECAY_FAMILIES:
-            return f"power:{-rate}"
-        return f"power:{rate}"
-    raise SpecValidationError(f"unknown tail rule {kind!r} for {fam}")
+    kind, *args = tail_parts or ["const"]
+    if kind in ("const", "sqrt") and not args:
+        return None if kind == "const" else "sqrt"
+    if kind in ("geometric", "power") and len(args) == 1:
+        rate = float(args[0])
+        if kind == "geometric":
+            return f"geometric:{rate}"
+        return f"power:{-rate if fam in _DECAY_FAMILIES else rate}"
+    raise SpecValidationError(f"unknown tail rule {':'.join(tail_parts)!r} for {fam}")
 
 
 def _load_space(args) -> SpaceSpec:

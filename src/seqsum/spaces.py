@@ -307,7 +307,7 @@ class SpaceSpec:
 
     def label(self) -> str:
         if self.family == "lp":
-            return f"lp({'inf' if math.isinf(self.p) else self.p:g})" if not math.isinf(self.p) else "lp(inf)"
+            return "lp(inf)" if math.isinf(self.p) else f"lp({self.p:g})"
         if self.family == "c0":
             return "c0"
         if self.family == "orlicz":

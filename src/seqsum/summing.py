@@ -160,20 +160,7 @@ def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Test-sequence balls
-
-
-def _weak_handle_ball(spec: SpaceSpec, dom: NormOracle, n: int) -> Ball:
-    """Sequences xs with certified weak-norm upper bound at most 1."""
-    d = dom.dim
-    dual_oracle = dom.flip()
-
-    def handle(flat):
-        X = flat.reshape(flat.shape[:-1] + (n, d))
-        val, _ = vn.operator_norm_upper(X, dual_oracle, spec)
-        return np.minimum(evaluate_norms(spec, vn.row_lengths(dom, X)), val)
-
-    return optim.gauge_ball(handle, n * d, f"weakball[{dom.label}^{n}]")
+# Test sequences
 
 
 def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:
@@ -222,7 +209,8 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
         return Witnessed(value=0.0, witness=np.zeros(n * T.domain.dim),
                          bound_direction="lower-of-sup", converged=True,
                          details={"n": n, "normalizer": "weak-upper"})
-    ball = _weak_handle_ball(spec, T.domain, n)
+    # the weak handle of (x_i) is the bound of its trace map X* -> lambda
+    ball = vn._operator_ball(T.domain.flip(), spec, n)
 
     def objective(flat):
         return _image_strong(spec, T, flat, n)
@@ -270,7 +258,7 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
                          bound_direction="lower-of-sup", converged=True,
                          details={"n": n, "truncation": m, "split": m * e})
     op_ball = vn._operator_ball(T.codomain, spec, m)
-    xs_ball = _weak_handle_ball(spec, T.domain, n)
+    xs_ball = vn._operator_ball(T.domain.flip(), spec, n)
     domain = optim.concat_domain([op_ball, xs_ball], label="w-mid")
 
     def objective(flat):

@@ -5,8 +5,8 @@ product of two oracle spaces.  The projective-style quasi-norm is an infimum
 of representation costs (strong factor times a dual-space factor) over exact
 factorizations; its convexified variant runs over multi-block
 representations.  Both are witness-certified upper bounds.  The injective
-norm, a sup over pairs of dual functionals, provides the certified lower
-reference of the sandwich.
+norm, the operator norm of the coefficients from the second factor's dual
+into the first, is the certified lower reference of the sandwich.
 
 Factorizations are parametrized so reconstruction is exact by construction:
 a base factorization from the SVD is composed with an invertible mixing
@@ -17,14 +17,14 @@ is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import optim, spaces, vector_norms as vn
 from .optim import OptBudget, Witnessed
 from .spaces import SpaceSpec, evaluate_norm, evaluate_norms
-from .summing import OperatorMatrix
+from .summing import OperatorMatrix, operator_norm
 from .vector_norms import NormOracle, VectorSequence
 
 __all__ = [
@@ -109,6 +109,12 @@ def _require_dual(spec: SpaceSpec) -> SpaceSpec:
     return dual
 
 
+def _require_reconstructs(rep: Representation, u: Tensor):
+    # relative to the entries, so the check means the same at every scale
+    if rep.residual(u) > _RESIDUAL_TOL * np.abs(u.entries).max():
+        raise ValueError("representation does not reconstruct the tensor")
+
+
 def _base_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     """Balanced rank-r factorization X0^T Y0 = E from the SVD (deterministic).
 
@@ -117,8 +123,9 @@ def _base_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
     d, e = E.shape[-2:]
     P, s, Qt = np.linalg.svd(E)
     k = min(d, e)
-    if r < k and s[..., r:].max(initial=0.0) > _RESIDUAL_TOL:
-        raise ValueError(f"rank budget {r} cannot reconstruct a rank-{int(np.sum(s > _RESIDUAL_TOL))} tensor")
+    tol = _RESIDUAL_TOL * np.abs(E).max(axis=(-2, -1))[..., None]
+    if r < k and np.any(s[..., r:] > tol):
+        raise ValueError(f"rank budget {r} cannot reconstruct a rank-{int(np.max(np.sum(s > tol, axis=-1)))} tensor")
     t = min(r, k)
     root = np.sqrt(s[..., :t])
     X0 = np.zeros(E.shape[:-2] + (r, d))
@@ -186,8 +193,7 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
     rep = Representation(blocks=(
         (VectorSequence(u.domain, mixed[0]), VectorSequence(u.codomain, mixed[1])),
     ))
-    if rep.residual(u) > _RESIDUAL_TOL:
-        raise ValueError("representation failed to reconstruct the tensor")
+    _require_reconstructs(rep, u)
     res.details["rank"] = r
     res.details["representation"] = rep
     return res
@@ -246,8 +252,7 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
         (VectorSequence(u.domain, X), VectorSequence(u.codomain, Y))
         for X, Y in pieces
     ))
-    if rep.residual(u) > _RESIDUAL_TOL:
-        raise ValueError("representation failed to reconstruct the tensor")
+    _require_reconstructs(rep, u)
     res.details["blocks"] = len(rep.blocks)
     res.details["representation"] = rep
     res.details["single_block_value"] = single_block.value
@@ -255,46 +260,16 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
 
 
 def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:
-    """sup of |f^T E g| over the two dual balls; certified lower reference."""
+    """sup of |f^T E g| over the two dual balls: the norm of E from the
+    codomain's dual into the domain, by operator_norm.  The witness is (f, g),
+    with g operator_norm's witness and f the functional that norms E g."""
     E = u.entries
-    d, e = E.shape
-    if not np.any(E):
-        return Witnessed(value=0.0, witness=np.zeros(d + e),
-                         bound_direction="lower-of-sup", converged=True)
-    fball = u.domain.dual_ball()
-    gball = u.codomain.dual_ball()
-    domain = optim.concat_domain([fball, gball], label="inj")
-
-    def objective(flat):
-        f, g = flat[..., None, :d], flat[..., d:, None]
-        return np.abs((f @ E @ g)[..., 0, 0])
-
-    seeds = []
-    try:
-        P, _, Qt = np.linalg.svd(E)
-        seeds.append(np.concatenate([fball.project(P[:, 0]),
-                                     gball.project(Qt[0])]))
-    except np.linalg.LinAlgError:
-        pass
-    i, j = np.unravel_index(int(np.argmax(np.abs(E))), E.shape)
-    seeds.append(np.concatenate([fball.project(np.eye(d)[i]),
-                                 gball.project(np.eye(e)[j])]))
-    if d <= 8 and e <= 8:
-        for sf in vn._sign_vectors(d):
-            g = E.T @ sf
-            if np.any(g):
-                seeds.append(np.concatenate([fball.project(sf),
-                                             gball.project(g)]))
-    res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds)
-    # per-factor boundary push is sound: the objective is bilinear
-    f, g = res.witness[:d], res.witness[d:]
-    fb, gb = fball.to_boundary(f), gball.to_boundary(g)
-    cand = np.concatenate([fb, gb])
-    if domain.membership(cand):
-        val = float(objective(cand))
-        if val >= res.value:
-            res.value, res.witness = val, cand
-    return res
+    op = operator_norm(OperatorMatrix(domain=u.codomain.flip(), codomain=u.domain,
+                                      entries=E), budget=budget)
+    g = op.witness
+    Eg = E @ g
+    f = np.sign(Eg) * spaces.dual_norm(spaces.lp(u.domain.flip().p), Eg).witness
+    return replace(op, witness=np.concatenate([f, g]))
 
 
 @dataclass(frozen=True)
@@ -321,8 +296,7 @@ def trace_duality_check(spec: SpaceSpec, T: OperatorMatrix, u: Tensor,
     sound lower bound for the mid-summing constant of T in the dual space.
     """
     dual_spec = _require_dual(spec)
-    if rep.residual(u) > _RESIDUAL_TOL:
-        raise ValueError("representation does not reconstruct the tensor")
+    _require_reconstructs(rep, u)
     if T.domain.dim != u.codomain.dim or T.codomain.dim != u.domain.dim:
         raise ValueError("operator dimensions do not match the tensor factors")
     phi = 0.0

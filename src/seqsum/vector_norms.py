@@ -176,7 +176,8 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     M is one matrix or a stack of them along leading axes; the value is a
     float or an array of the stack's shape.  Returns (value, grade) with
     grade "exact" (the bound is the norm, for every matrix of a stack) or
-    "certified" (a true upper bound, possibly loose).
+    "certified" (a true upper bound, possibly loose).  It is the smaller of
+    dom's formula and the normality bound, exact for one nonzero row.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2:
@@ -196,20 +197,21 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         else:
             cols = evaluate_norms(cod, np.swapaxes(M, -1, -2))
             val, grade = d * cols.max(axis=-1), "certified"
+    elif p == 2.0 and cod.family in ("lp", "c0"):
+        val, grade = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
     elif p == 2.0:
-        if cod.family in ("lp", "c0"):
-            val, grade = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
-        else:
-            # normality: |(Mx)_i| <= |row_i|_2 |x|_2
-            row2 = spaces._pnorm(np.abs(M), 2.0)
-            val = evaluate_norms(cod, row2)
-            grade = "exact" if np.all(np.count_nonzero(row2, axis=-1) <= 1) else "certified"
+        val, grade = math.inf, "certified"
     else:
         # route through l2 or linf, whichever embedding constant is smaller
         via2, _ = operator_norm_upper(M, lp_oracle(2.0, d), cod)
         c2 = 1.0 if p <= 2.0 else d ** (0.5 - 1.0 / p)
         viainf, _ = operator_norm_upper(M, lp_oracle(math.inf, d), cod)
         val, grade = np.minimum(c2 * via2, viainf), "certified"
+    # normality: |(Mx)_i| <= |row_i|_dom* |x|_dom
+    rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
+    val = np.minimum(val, evaluate_norms(cod, rows))
+    if grade != "exact" and np.all(np.count_nonzero(rows, axis=-1) <= 1):
+        grade = "exact"
     return (float(val) if one else val), grade
 
 
@@ -222,13 +224,20 @@ def strong_norm(spec: SpaceSpec, xs: VectorSequence) -> float:
     return evaluate_norm(spec, xs.lengths())
 
 
+def _unit(v: np.ndarray) -> np.ndarray:
+    """v / |v|_2 for v != 0, taken after an exact power-of-two rescaling so
+    the length neither underflows nor overflows; normal-range bits are kept."""
+    v = v / spaces._pow2_floor(np.abs(v).max())
+    return v / np.linalg.norm(v)
+
+
 def _weak_seeds(xs: VectorSequence, ball: Ball) -> list[np.ndarray]:
     A = xs.vectors
     n, d = A.shape
     seeds = [np.eye(d)[i] for i in range(d)]
     for v in A:
         if np.any(v):
-            seeds.append(v / np.linalg.norm(v))
+            seeds.append(_unit(v))
     if n and d and np.any(A):
         try:
             _, _, vt = np.linalg.svd(A, full_matrices=False)
@@ -239,7 +248,7 @@ def _weak_seeds(xs: VectorSequence, ball: Ball) -> list[np.ndarray]:
         for s in _sign_vectors(n):
             v = s @ A
             if np.any(v):
-                seeds.append(v / np.linalg.norm(v))
+                seeds.append(_unit(v))
     return [ball.project(s) for s in seeds]
 
 
@@ -264,11 +273,10 @@ def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
     """Certified upper bound of the weak norm.
 
     The trace map f -> (f(x_n))_n is the matrix with the x_n as rows acting on
-    the dual space; its operator norm bounds the weak norm, and the strong
-    norm bounds it as well by normality.  The smaller certified bound wins.
+    the dual space; its operator norm bounds the weak norm.  The normality
+    bound of that map is the strong norm.
     """
-    val, _ = operator_norm_upper(xs.vectors, xs.oracle.flip(), spec)
-    return float(min(strong_norm(spec, xs), val))
+    return operator_norm_upper(xs.vectors, xs.oracle.flip(), spec)[0]
 
 
 def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
@@ -284,15 +292,9 @@ def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
 
 def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
     d = dom.dim
-    dual = dom.flip()
 
     def kappa(flat):
-        T = flat.reshape(flat.shape[:-1] + (m, d))
-        val, _ = operator_norm_upper(T, dom, cod)
-        # row-wise handle: ||T|| <= scalar norm of the row dual norms, by
-        # normality; both bounds are certified, the smaller one rules
-        coarse = evaluate_norms(cod, row_lengths(dual, T))
-        return np.minimum(val, coarse)
+        return operator_norm_upper(flat.reshape(flat.shape[:-1] + (m, d)), dom, cod)[0]
 
     return optim.gauge_ball(kappa, m * d, f"opball[{dom.label}->{cod.label()}^{m}]")
 
@@ -307,7 +309,7 @@ def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
         T0 = np.zeros((m, d))
         T0[0] = weak_witness / c
         seeds.append(T0.ravel())
-    rows = [v / np.linalg.norm(v) for v in A[: m] if np.any(v)]
+    rows = [_unit(v) for v in A[: m] if np.any(v)]
     if rows:
         T = np.zeros((m, d))
         for i, r in enumerate(rows):
@@ -362,8 +364,6 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
                                    homogeneous=True)
     res.details["truncation"] = m
-    _, grade = operator_norm_upper(res.witness.reshape(m, d), xs.oracle, spec)
-    res.details["feasibility_grade"] = grade
     return res
 
 

@@ -110,10 +110,16 @@ _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
     (["norm", "--space", "lp:2", "--seq", "3"], None, 2),
     (["norm", "--space", "lp:2", "--seq", "true"], None, 2),
     (["dual-norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], None, 2),
+    # every part of a DSL space is read, and p= only by the decay families
+    *[(["norm", "--space", space, "--seq", "[1, 2]"], None, 3) for space in (
+        "lp:2:junk", "c0:foo", "orlicz:power:2:junk", "sargent_m:sqrt:p=2",
+        "garling_mu:geometric:0.5:7:p=2")],
 ], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative",
         "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
         "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null",
-        "seq-2d", "seq-number", "seq-bool", "dual-seq-2d"])
+        "seq-2d", "seq-number", "seq-bool", "dual-seq-2d",
+        "dsl-lp-extra", "dsl-c0-extra", "dsl-orlicz-extra", "dsl-sargent-p",
+        "dsl-mu-extra-part"])
 def test_malformed_input_exits_2_or_3(argv, env, want, tmp_path, monkeypatch, capsys):
     if env is not None:
         monkeypatch.setenv("SEQSUM_BUDGET", env)
@@ -161,6 +167,46 @@ def test_dual_norm_command_huge_input(space, tmp_path, capsys):
     value = json.loads(out_path.read_text())["results"][0]["value"]
     dual = spaces.kothe_dual_spec(cli.parse_space(space))
     assert value == pytest.approx(spaces.evaluate_norm(dual, json.loads(seq)), rel=1e-12)
+
+
+def _report_values(argv, tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert code == 0, err
+    return [row["value"] for row in json.loads(out_path.read_text())["results"]]
+
+
+@pytest.mark.parametrize("kind", ["weak", "mid", "chain"])
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_vecnorm_command_tiny_and_huge_vectors(kind, scale, tmp_path, capsys):
+    # the seed directions neither underflow nor overflow
+    rows = np.array([[0.3, -1.2], [2.0, 0.7], [-0.4, 0.9]])
+
+    def values(s):
+        vectors = json.dumps({"oracle": "l2:2", "vectors": (s * rows).tolist()})
+        return _report_values(["vecnorm", "--kind", kind, "--space", "lp:3",
+                               "--vectors", vectors], tmp_path, capsys)
+
+    want = values(1.0)
+    got = values(scale)
+    assert got == pytest.approx([scale * w for w in want], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", ["gamma", "gamma-c"])
+@pytest.mark.parametrize("scale", [1e200, 1e300])
+def test_tensor_command_huge_entries(kind, scale, tmp_path, capsys):
+    # the reconstruction check is relative to the entries
+    entries = np.array([[1.0, 0.4], [-0.3, 2.0]])
+
+    def value(s):
+        u = json.dumps({"domain": "l2:2", "codomain": "l2:2",
+                        "entries": (s * entries).tolist()})
+        return _report_values(["tensor", "--kind", kind, "--space", "lp:2",
+                               "--tensor", u], tmp_path, capsys)[0]
+
+    assert value(scale) == pytest.approx(scale * value(1.0), rel=1e-12, abs=0.0)
 
 
 def test_dual_norm_command_garling_mu_default_p1(capsys):

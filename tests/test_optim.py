@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from seqsum import optim, spaces, summing, tensor, vector_norms as vn
+from seqsum import optim, spaces, tensor, vector_norms as vn
 from seqsum.optim import Ball, InfeasibleSeedError, OptBudget
 from seqsum.spaces import OrliczFunction, WeightSeq
 
@@ -283,7 +283,8 @@ def _weak_handle_ball():
     def gauge(v):
         return vn.weak_norm_upper(spec, vn.VectorSequence(dom, v.reshape(n, 2)))
 
-    return summing._weak_handle_ball(spec, dom, n), gauge
+    # the weak handle of (x_i) is the bound of its trace map X* -> lambda
+    return vn._operator_ball(dom.flip(), spec, n), gauge
 
 
 GAUGE_BALLS = [

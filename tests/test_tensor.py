@@ -145,6 +145,55 @@ def test_injective_matches_spectral_oracle():
         assert abs(float(f @ M @ g)) == pytest.approx(res.value, abs=1e-9)
 
 
+def _injective_reference(E, a, b):
+    """sup |f^T E g| over the dual balls of l_a and l_b, by the vertices of
+    whichever dual ball is a polytope, or sigma_max when both are l2."""
+    d, e = E.shape
+    if math.isinf(b):  # g over the l1 ball: its vertices are +-e_j
+        return max(np.linalg.norm(E[:, j], a) for j in range(e))
+    if b == 1.0:  # g over the linf ball: sign vectors
+        return max(np.linalg.norm(E @ s, a) for s in vn._sign_vectors(e))
+    if math.isinf(a):
+        return max(np.linalg.norm(E[i], b) for i in range(d))
+    if a == 1.0:
+        return max(np.linalg.norm(s @ E, b) for s in vn._sign_vectors(d))
+    assert a == b == 2.0
+    return float(np.linalg.svd(E, compute_uv=False)[0])
+
+
+_LP = {"l1": 1.0, "l2": 2.0, "l3": 3.0, "linf": math.inf}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("cod", list(_LP))
+@pytest.mark.parametrize("dom", list(_LP))
+def test_injective_is_the_operator_norm(dom, cod, shape):
+    d, e = shape
+    a, b = _LP[dom], _LP[cod]
+    E = np.random.default_rng([list(_LP).index(dom), list(_LP).index(cod), d, e]
+                              ).standard_normal(shape)
+    res = tensor.injective_norm(tens(E, f"{dom}:{d}", f"{cod}:{e}"), budget=LIGHT)
+    f, g = res.witness[:d], res.witness[d:]
+    assert np.linalg.norm(f, spaces.conjugate_exponent(a)) <= 1.0 + 1e-12
+    assert np.linalg.norm(g, spaces.conjugate_exponent(b)) <= 1.0 + 1e-12
+    assert abs(float(f @ E @ g)) == pytest.approx(res.value, rel=1e-12, abs=0.0)
+    # operator_norm of E: l_b* -> l_a has a closed form on these pairs
+    if b in (1.0, math.inf) or (b == 2.0 and a != 3.0):
+        assert res.bound_direction == "exact"
+        assert res.value == pytest.approx(_injective_reference(E, a, b), rel=1e-12, abs=0.0)
+    else:
+        assert res.bound_direction == "lower-of-sup"
+
+
+def test_injective_l2_linf_reaches_the_column_maximum():
+    # the concat-domain search stalled at 0.69176 on this tensor
+    E = [[0.5228708948391112, 0.35786967764803124, -0.6631035145259176],
+         [-0.6165061466820784, 0.4348641034709542, -0.197042778476594]]
+    res = tensor.injective_norm(tens(E, "l2:2", "linf:3"), budget=LIGHT)
+    assert res.bound_direction == "exact"
+    assert res.value == pytest.approx(0.8083772643800896, rel=1e-12, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # trace duality
 
@@ -198,6 +247,16 @@ def test_trace_rejects_wrong_dims():
                                    np.eye(3))
     with pytest.raises(ValueError):
         tensor.trace_duality_check(LP2, T_bad, u, g.details["representation"])
+
+
+def test_trace_rejects_another_tensor_at_tiny_scale():
+    # the reconstruction check is relative to the entries
+    u = tens(1e-200 * np.array([[1.0, 0.4], [-0.3, 2.0]]))
+    other = tens(1e-200 * np.array([[2.0, -1.0], [0.5, 1.0]]))
+    rep = tensor.gamma_lambda(LP2, other, budget=LIGHT).details["representation"]
+    T = summing.OperatorMatrix(vn.lp_oracle(2, 2), vn.lp_oracle(2, 2), np.eye(2))
+    with pytest.raises(ValueError):
+        tensor.trace_duality_check(LP2, T, u, rep, gamma_c_value=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -302,6 +302,41 @@ def test_operator_norm_upper_from_l2_is_scale_safe(cod, scale):
         assert got == pytest.approx(scale * want, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("cod", [
+    spaces.lp(1), spaces.lp(3), spaces.sargent_m(SQRT), spaces.garling_mu(GEOM_HALF, 2.0),
+    spaces.orlicz(spaces.OrliczFunction("power_log", 1.5))],
+    ids=["lp1", "lp3", "sargent_m", "garling_mu", "orlicz"])
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0, math.inf])
+def test_operator_norm_upper_within_normality_bound(cod, p):
+    # ||M|| <= the scalar norm of the rows' dual lengths, for every dom and cod
+    q = spaces.conjugate_exponent(p)
+    dom = vn.lp_oracle(p, 3)
+    stack = np.random.default_rng(39).standard_normal((6, 4, 3))
+    stack[1, 1:] = 0.0
+
+    def normality(M):
+        return spaces.evaluate_norm(cod, np.array([np.linalg.norm(r, q) for r in M]))
+
+    vals, _ = vn.operator_norm_upper(stack, dom, cod)
+    for M, v in zip(stack, vals):
+        bound = normality(M)
+        assert v <= bound * (1 + 1e-12)
+        single, _ = vn.operator_norm_upper(M, dom, cod)
+        assert single <= bound * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_operator_norm_upper_one_row_is_exact(stacked):
+    # from l3 the formula is an interpolation bound; with one nonzero row the
+    # normality bound is the norm
+    M = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
+    v, grade = vn.operator_norm_upper(np.stack([M, 3.0 * M]) if stacked else M,
+                                      vn.lp_oracle(3, 3), spaces.lp(3))
+    assert grade == "exact"
+    want = np.linalg.norm(M[1], 1.5)
+    assert v == pytest.approx([want, 3.0 * want] if stacked else want, rel=1e-14)
+
+
 def test_operator_norm_upper_interpolated_is_upper():
     rng = np.random.default_rng(38)
     for r in (1.3, 1.7, 2.5, 4.0):
