@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from . import __version__, spaces, summing, tensor, vector_norms as vn
+from . import __version__, optim, spaces, summing, tensor, vector_norms as vn
 from .optim import OptBudget, Witnessed
 from .spaces import SpaceSpec, SpecValidationError, WeightSeq
 
@@ -183,7 +183,8 @@ def _clean(value):
 
 
 def result_row(name: str, res: Witnessed, elapsed_ms: float) -> dict:
-    """The one place a report row is built; the witness is kept when there is one."""
+    """The one place a report row is built; the witness and the certified
+    bound on the other side of the value are kept when the result has them."""
     row = {
         "name": name,
         "value": _clean(res.value),
@@ -193,6 +194,8 @@ def result_row(name: str, res: Witnessed, elapsed_ms: float) -> dict:
     }
     if res.witness is not None:
         row["witness"] = _clean(res.witness)
+    if res.certified_bound is not None:
+        row["certified_bound"] = _clean(res.certified_bound)
     return row
 
 
@@ -398,7 +401,7 @@ def _suite_holder(trials: int, seed: int) -> tuple[list[dict], int]:
             b = rng.standard_normal(k)
             lhs = float(np.sum(np.abs(a * b)))
             rhs = spaces.evaluate_norm(spec, a) * spaces.evaluate_norm(dual, b)
-            if lhs > rhs + 1e-9:
+            if optim.exceeds(lhs, rhs):
                 bad += 1
         ms = (time.perf_counter() - t0) * 1e3
         if bad:

@@ -32,6 +32,7 @@ __all__ = [
     "Witnessed",
     "Ball",
     "InfeasibleSeedError",
+    "exceeds",
     "gauge_ball",
     "free_domain",
     "concat_domain",
@@ -74,7 +75,9 @@ class Witnessed:
 
     bound_direction is one of "lower-of-sup", "upper-of-inf", or "exact".
     The value is always the objective recomputed at the reported witness
-    (or the closed-form value when direction is "exact").
+    (or the closed-form value when direction is "exact").  certified_bound,
+    when set, is a certified bound on the other side of the value: an upper
+    bound of a sup, a lower bound of an inf.
     """
 
     value: float
@@ -82,6 +85,13 @@ class Witnessed:
     bound_direction: str
     converged: bool
     details: dict = field(default_factory=dict, compare=False)
+    certified_bound: float | None = None
+
+
+def exceeds(lhs: float, rhs: float) -> bool:
+    """lhs > rhs by more than 1e-9 times the larger magnitude: an ordering
+    check that means the same at every scale, and forgives float drift."""
+    return lhs > rhs + 1e-9 * max(abs(lhs), abs(rhs))
 
 
 @dataclass(frozen=True)
@@ -247,7 +257,7 @@ def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
 
 
 def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
-         homogeneous: bool):
+         homogeneous: bool, target: float | None = None):
     budget = budget or OptBudget()
     seeds = list(seeds or [])
     if domain.dim == 0:
@@ -284,8 +294,16 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
             if val > best_f:
                 best_f, best_x, winner = float(val), prepared[i], i
 
+    # the target in the signed units of f, where the search maximizes
+    goal = None if target is None else sign * float(target)
+
+    def met():
+        return goal is not None and best_f >= goal - 1e-12 * abs(goal)
+
     flags = []
     for r in range(budget.restarts):
+        if met():
+            break
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,))
         )
@@ -311,28 +329,32 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         raise RuntimeError("search produced no candidate point")
     # recompute at the reported witness so value and witness always agree
     best_f = float(_score(f, best_x[None])[0])
+    details = {"evals": total_evals, "restarts": budget.restarts, "domain": domain.label}
+    if met():
+        details.update(stop="certificate", restarts_run=len(flags))
+        return best_x, best_f, True, details
     # a seed that no restart started from was never searched to convergence
     converged = winner is not None and winner < len(flags) and flags[winner]
-    return best_x, best_f, converged, {
-        "evals": total_evals,
-        "restarts": budget.restarts,
-        "domain": domain.label,
-    }
+    return best_x, best_f, converged, details
 
 
 def maximize_over_ball(objective, domain: Ball, budget: OptBudget | None = None,
-                       seeds=None, homogeneous: bool = False) -> Witnessed:
+                       seeds=None, homogeneous: bool = False,
+                       target: float | None = None) -> Witnessed:
     """Witnessed lower bound of sup { objective(x) : x in domain }.
 
     The witness is feasible by construction, so the reported value is sound.
     Optional seeds are scored directly and also used as restart origins; a
     seed that fails membership raises InfeasibleSeedError rather than being
-    silently dropped.
+    silently dropped.  target is a certified upper bound of the sup; the
+    search stops at it, and a value that meets it is "exact".
     """
     x, val, conv, det = _run(objective, domain, budget, seeds, sign=1.0,
-                             homogeneous=homogeneous)
-    return Witnessed(value=val, witness=x, bound_direction="lower-of-sup",
-                     converged=conv, details=det)
+                             homogeneous=homogeneous, target=target)
+    return Witnessed(value=val, witness=x,
+                     bound_direction="exact" if "stop" in det else "lower-of-sup",
+                     converged=conv, details=det,
+                     certified_bound=None if target is None else float(target))
 
 
 def minimize_over_family(objective, domain: Ball, budget: OptBudget | None = None,

@@ -37,9 +37,6 @@ __all__ = [
     "ideal_witness_check",
 ]
 
-_CHECK_TOL = 1e-9
-
-
 @dataclass(frozen=True)
 class OperatorMatrix:
     """Matrix T acting from a d-dim domain oracle to an e-dim codomain oracle."""
@@ -97,7 +94,8 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
     Exact branches: domain l1 (column maximum, any codomain), domain linf
     (sign-vector enumeration, any codomain), and domain l2 paired with
     codomain l1, l2, or linf.  Anything else falls back to witnessed ascent
-    over the domain ball (lower-of-sup).
+    over the domain ball, which stops at operator_norm_upper_matrix: it is
+    "exact" when a witness meets that bound, and lower-of-sup otherwise.
     """
     M = T.entries
     e, d = M.shape
@@ -112,7 +110,7 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
         w[j] = 1.0
         return Witnessed(value=float(vals[j]), witness=w, bound_direction="exact",
                          converged=True)
-    if math.isinf(dom_p) and d <= 12:
+    if math.isinf(dom_p) and d <= vn._SIGN_ENUM_LIMIT:
         S = vn._sign_vectors(d)
         vals = vn.row_lengths(cod, S @ M.T)
         i = int(np.argmax(vals))
@@ -129,7 +127,7 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
             i = int(np.argmax(row2))
             return Witnessed(value=float(row2[i]), witness=M[i] / row2[i],
                              bound_direction="exact", converged=True)
-        if e <= 12:  # cod l1
+        if e <= vn._SIGN_ENUM_LIMIT:  # cod l1
             S = vn._sign_vectors(e)
             imgs = S @ M
             vals = vn.row_lengths(T.domain, imgs)
@@ -150,7 +148,7 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
     ball = T.domain.ball()
     seeds = [ball.project(s) for s in seeds]
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True)
+                                    homogeneous=True, target=operator_norm_upper_matrix(T))
 
 
 def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
@@ -315,8 +313,9 @@ def strong_mid_witness_check(spec: SpaceSpec, T: OperatorMatrix,
     lhs = float(_image_strong(spec, T, flat, n))
     handle = vn.strong_norm(spec, VectorSequence(T.domain,
                                                  flat.reshape(n, T.domain.dim)))
-    rhs = result.value * handle + _CHECK_TOL
-    return WitnessCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs, label="strong-vs-mid")
+    rhs = result.value * handle
+    return WitnessCheck(lhs=lhs, rhs=rhs, ok=not optim.exceeds(lhs, rhs),
+                        label="strong-vs-mid")
 
 
 def mid_weak_witness_check(spec: SpaceSpec, T: OperatorMatrix,
@@ -332,8 +331,9 @@ def mid_weak_witness_check(spec: SpaceSpec, T: OperatorMatrix,
     imgs = X @ T.entries.T @ S.T
     lhs = float(evaluate_norms(spec, evaluate_norms(spec, imgs)))
     handle = vn.weak_norm_upper(spec, VectorSequence(T.domain, X))
-    rhs = result.value * handle + _CHECK_TOL
-    return WitnessCheck(lhs=lhs, rhs=rhs, ok=lhs <= rhs, label="mid-vs-weak")
+    rhs = result.value * handle
+    return WitnessCheck(lhs=lhs, rhs=rhs, ok=not optim.exceeds(lhs, rhs),
+                        label="mid-vs-weak")
 
 
 @dataclass(frozen=True)
@@ -369,8 +369,8 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
 
     lhs_a = float(_image_strong(spec, comp, flat, n))
     r_up = operator_norm_upper_matrix(R)
-    rhs_a = r_up * float(_image_strong(spec, TS, flat, n)) + _CHECK_TOL
-    left = WitnessCheck(lhs=lhs_a, rhs=rhs_a, ok=lhs_a <= rhs_a,
+    rhs_a = r_up * float(_image_strong(spec, TS, flat, n))
+    left = WitnessCheck(lhs=lhs_a, rhs=rhs_a, ok=not optim.exceeds(lhs_a, rhs_a),
                         label="outer-factor")
 
     s_up = operator_norm_upper_matrix(S)
@@ -383,7 +383,7 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
                          extra_seeds=[(V @ S.entries) / s_up if s_up > 0
                                       else V @ S.entries])
     lhs_b = inner.value
-    rhs_b = s_up * seeded.value + _CHECK_TOL
-    right = WitnessCheck(lhs=lhs_b, rhs=rhs_b, ok=lhs_b <= rhs_b,
+    rhs_b = s_up * seeded.value
+    right = WitnessCheck(lhs=lhs_b, rhs=rhs_b, ok=not optim.exceeds(lhs_b, rhs_b),
                          label="inner-factor")
     return IdealReport(left=left, right=right)

@@ -307,7 +307,7 @@ def trace_duality_check(spec: SpaceSpec, T: OperatorMatrix, u: Tensor,
         phi += float(np.sum(xs.vectors * imgs))
         img_strong = evaluate_norm(dual_spec, vn.row_lengths(dual_oracle, imgs))
         bound += img_strong * vn.strong_norm(spec, xs)
-    ok = abs(phi) <= bound + 1e-9
+    ok = not optim.exceeds(abs(phi), bound)
     ratio = None
     if gamma_c_value is None:
         gamma_c_value = gamma_lambda_c(spec, u).value

@@ -8,6 +8,10 @@ ball), and mid (sup over the ball of operators from X into an m-coordinate
 truncation of the scalar space).  Sup-defined values are witness-certified
 lower bounds; chain ordering weak <= mid <= strong is enforced by seeding the
 mid search with a rank-one operator built from the weak witness.
+
+Each search also carries a certified upper bound: weak_norm_upper for weak
+and weak-star, the strong norm for mid.  The search stops once a witness
+meets it to 1e-12 relative, and that value is then labelled "exact".
 """
 
 from __future__ import annotations
@@ -235,6 +239,9 @@ def _weak_seeds(xs: VectorSequence, ball: Ball) -> list[np.ndarray]:
     A = xs.vectors
     n, d = A.shape
     seeds = [np.eye(d)[i] for i in range(d)]
+    if xs.oracle.p == 1.0 and d <= _SIGN_ENUM_LIMIT:
+        # the dual ball is the cube, and a convex function peaks at a vertex
+        seeds.extend(_sign_vectors(d))
     for v in A:
         if np.any(v):
             seeds.append(_unit(v))
@@ -256,7 +263,8 @@ def weak_norm(spec: SpaceSpec, xs: VectorSequence,
               budget: OptBudget | None = None) -> Witnessed:
     """sup over the dual ball of the scalar norm of (f(x_1), ..., f(x_n)).
 
-    Witness is the functional f, reported as its coefficient vector.
+    Witness is the functional f, reported as its coefficient vector.  The
+    search stops at weak_norm_upper, which the result carries.
     """
     A = xs.vectors
     ball = xs.oracle.dual_ball()
@@ -266,7 +274,7 @@ def weak_norm(spec: SpaceSpec, xs: VectorSequence,
 
     seeds = _weak_seeds(xs, ball)
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True)
+                                    homogeneous=True, target=weak_norm_upper(spec, xs))
 
 
 def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
@@ -343,7 +351,8 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     whenever the first unit vector has scalar norm 1 (the rank-one operator is
     exactly feasible, so no feasibility deflation can shrink it).  Values are
     nondecreasing in m when searches are seeded with padded smaller-m
-    witnesses.
+    witnesses.  Every feasible operator contracts each vector, so the strong
+    norm bounds the value; the search stops there, and the result carries it.
     """
     if m < 1:
         raise ValueError("truncation length m must be >= 1")
@@ -362,7 +371,7 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     for s in (extra_seeds or []):
         seeds.append(ball.project(np.asarray(s, dtype=float).ravel()))
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                   homogeneous=True)
+                                   homogeneous=True, target=strong_norm(spec, xs))
     res.details["truncation"] = m
     return res
 
@@ -390,9 +399,9 @@ def chain_check(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     mid = mid_norm(spec, xs, m=m, budget=budget, weak_witness=w.witness)
     s = strong_norm(spec, xs)
     violations = []
-    if w.value > mid.value + 1e-9:
+    if optim.exceeds(w.value, mid.value):
         violations.append(f"weak {w.value!r} exceeds mid {mid.value!r}")
-    if mid.value > s + 1e-9:
+    if optim.exceeds(mid.value, s):
         violations.append(f"mid {mid.value!r} exceeds strong {s!r}")
     return ChainReport(weak=w, mid=mid, strong=s, violations=tuple(violations))
 

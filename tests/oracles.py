@@ -201,6 +201,24 @@ def weak_l2_lp2_oracle(vectors) -> float:
     return top_singular_value_oracle(np.asarray(vectors, dtype=float))
 
 
+def weak_l1_vertex_oracle(vectors, p: float) -> float:
+    """Weak norm of a system in l1 against lp, by the vertices of the cube.
+
+    The dual ball of l1 is the cube [-1, 1]^d, and f -> |(<x_i, f>)_i|_p is
+    convex, so its maximum sits at one of the 2^d sign vectors.
+    """
+    X = np.asarray(vectors, dtype=float)
+    best = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=X.shape[1]):
+        images = X @ np.array(signs)
+        if math.isinf(p):
+            val = float(np.max(np.abs(images)))
+        else:
+            val = math.fsum(abs(t) ** p for t in images) ** (1.0 / p)
+        best = max(best, val)
+    return best
+
+
 def trace_norm_oracle(M, grid: int = 720) -> float:
     """Nuclear norm of a 2x2 matrix by dense rotation search.
 

@@ -317,6 +317,7 @@ def test_every_compute_reports_its_witnessed(sub, kind, tmp_path, monkeypatch, c
         assert float(word) == pytest.approx(row["value"], rel=1e-11, abs=0.0)
         assert row["value"] == pytest.approx(getattr(res, "value", res), rel=1e-12)
         assert ("witness" in row) == (getattr(res, "witness", None) is not None)
+        assert row.get("certified_bound") == getattr(res, "certified_bound", None)
     # the subcommand and every option given, input JSON included, are echoed
     config = report["config"]
     assert config["subcommand"] == sub and config.get("kind") == kind

@@ -104,6 +104,50 @@ def test_seed_domination():
     assert res.value >= float(seed @ target) - 1e-12
 
 
+def _l3_image(F, A=np.array([[1.0, 2.0, -0.5], [0.3, -1.0, 0.8]])):
+    return np.sum(np.abs(F @ A.T) ** 3, axis=-1) ** (1.0 / 3.0)
+
+
+def test_target_above_the_sup_changes_nothing():
+    # ||A f||_3 over the l2 ball stays below sigma_max(A), so 10 is never met
+    budget = OptBudget(restarts=3, iterations=80, seed=9)
+    seeds = [np.array([0.0, 1.0, 0.0]), np.array([0.6, 0.0, 0.8])]
+    free = optim.maximize_over_ball(_l3_image, l2_ball(3), budget=budget, seeds=seeds,
+                                    homogeneous=True)
+    capped = optim.maximize_over_ball(_l3_image, l2_ball(3), budget=budget, seeds=seeds,
+                                      homogeneous=True, target=10.0)
+    assert np.array_equal(capped.witness, free.witness)
+    assert capped.value == free.value
+    assert capped.details["evals"] == free.details["evals"]
+    assert capped.converged == free.converged
+    assert capped.bound_direction == free.bound_direction == "lower-of-sup"
+    assert capped.certified_bound == 10.0 and free.certified_bound is None
+    assert "stop" not in capped.details
+
+
+def test_target_met_by_a_seed_runs_no_restart():
+    # the l2 norm is 1 at every unit seed: the seeds meet the target up front
+    seeds = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
+    res = optim.maximize_over_ball(lambda F: np.linalg.norm(F, axis=-1), l2_ball(2),
+                                   budget=OptBudget(restarts=8, iterations=300),
+                                   seeds=seeds, target=1.0)
+    assert res.details["restarts_run"] == 0
+    assert res.details["stop"] == "certificate"
+    assert res.details["evals"] == len(seeds)
+    assert res.bound_direction == "exact"
+    assert res.converged is True
+    assert res.value == res.certified_bound == 1.0
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1.0, 1e300])
+def test_exceeds_is_relative_to_scale(scale):
+    assert optim.exceeds(scale * (1.0 + 1e-6), scale)
+    assert optim.exceeds(-scale, -scale * (1.0 + 1e-6))
+    drift = scale * (1.0 + 4 * np.finfo(float).eps)
+    assert not optim.exceeds(drift, scale)
+    assert not optim.exceeds(scale, drift)
+
+
 def test_infeasible_seeds_rejected():
     ball = l2_ball(2)
     budget = OptBudget(restarts=1, iterations=5)

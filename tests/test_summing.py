@@ -8,7 +8,7 @@ import pytest
 
 import oracles as oc
 from seqsum import spaces, summing, vector_norms as vn
-from seqsum.optim import OptBudget
+from seqsum.optim import OptBudget, Witnessed
 from seqsum.spaces import OrliczFunction, WeightSeq
 
 LP2 = spaces.lp(2)
@@ -264,6 +264,37 @@ def test_w_mid_dominates_pi_of_witness_composition():
         comp = summing.OperatorMatrix(l2, vn.lp_oracle(2, 2), S0 @ T.entries)
         pi_c = summing.pi_lambda(LP2, comp, n=3, budget=LIGHT)
         assert wm.value >= pi_c.value - 1e-6
+
+
+_DRIFT = 1.0 - 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_witness_checks_are_relative(scale):
+    # on l2:1 the unit witness meets each check with equality, so a lowered
+    # value breaks it by that much
+    T = op([[scale]], dom="l2:1", cod="l2:1")
+    cases = [(summing.strong_mid_witness_check, [1.0], {"n": 1}),
+             (summing.mid_weak_witness_check, [1.0, 1.0],
+              {"n": 1, "truncation": 1, "split": 1})]
+    for check, witness, details in cases:
+        for factor, ok in ((_DRIFT, True), (1.0 - 1e-6, False)):
+            res = Witnessed(value=scale * factor, witness=np.array(witness),
+                            bound_direction="lower-of-sup", converged=True,
+                            details=details)
+            assert check(LP2, T, res).ok is ok
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_ideal_check_is_relative(monkeypatch, scale):
+    one = op([[1.0]], dom="l2:1", cod="l2:1")
+    S = op([[scale]], dom="l2:1", cod="l2:1")
+    upper = summing.operator_norm_upper_matrix
+    for factor, ok in ((_DRIFT, True), (1.0 - 1e-6, False)):
+        monkeypatch.setattr(summing, "operator_norm_upper_matrix",
+                            lambda M, f=factor: upper(M) * f)
+        rep = summing.ideal_witness_check(LP2, one, one, S, n=1, m=1, budget=LIGHT)
+        assert rep.left.ok is ok and rep.right.ok is ok
 
 
 # ---------------------------------------------------------------------------

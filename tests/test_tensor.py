@@ -182,7 +182,14 @@ def test_injective_is_the_operator_norm(dom, cod, shape):
         assert res.bound_direction == "exact"
         assert res.value == pytest.approx(_injective_reference(E, a, b), rel=1e-12, abs=0.0)
     else:
-        assert res.bound_direction == "lower-of-sup"
+        # the fallback search is "exact" only where it meets its certified bound
+        assert res.value <= res.certified_bound * (1.0 + 1e-12)
+        met = res.value >= res.certified_bound * (1.0 - 1e-12)
+        assert res.bound_direction == ("exact" if met else "lower-of-sup")
+        if a == math.inf:
+            # into l_inf the normality bound, the largest row norm, is the norm
+            assert res.certified_bound == pytest.approx(
+                np.linalg.norm(E, b, axis=1).max(), rel=1e-12, abs=0.0)
 
 
 def test_injective_l2_linf_reaches_the_column_maximum():
@@ -257,6 +264,21 @@ def test_trace_rejects_another_tensor_at_tiny_scale():
     T = summing.OperatorMatrix(vn.lp_oracle(2, 2), vn.lp_oracle(2, 2), np.eye(2))
     with pytest.raises(ValueError):
         tensor.trace_duality_check(LP2, T, u, rep, gamma_c_value=1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_trace_check_is_relative(monkeypatch, scale):
+    # one block on l2:1 meets the trace bound with equality
+    l1d = vn.lp_oracle(2, 1)
+    u = tensor.Tensor(l1d, l1d, np.array([[scale]]))
+    rep = tensor.Representation(blocks=((vn.VectorSequence(l1d, [[scale]]),
+                                         vn.VectorSequence(l1d, [[1.0]])),))
+    T = summing.OperatorMatrix(l1d, l1d, np.array([[1.0]]))
+    strong = vn.strong_norm
+    for factor, ok in ((1.0 - 4 * np.finfo(float).eps, True), (1.0 - 1e-6, False)):
+        monkeypatch.setattr(vn, "strong_norm", lambda *a, f=factor: strong(*a) * f)
+        chk = tensor.trace_duality_check(LP2, T, u, rep, gamma_c_value=1.0)
+        assert chk.ok is ok
 
 
 # ---------------------------------------------------------------------------

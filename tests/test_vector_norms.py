@@ -1,5 +1,6 @@
 """Strong, weak, weak-star, mid norms over finite vector systems."""
 
+import dataclasses
 import json
 import math
 
@@ -90,7 +91,9 @@ def test_strong_norm_lorentz_reduces_to_scalar():
 def test_weak_norm_identity_rows():
     res = vn.weak_norm(spaces.lp(2), seq("l2:2", [[1, 0], [0, 1]]), budget=LIGHT)
     assert res.value == pytest.approx(1.0, abs=1e-9)
-    assert res.bound_direction == "lower-of-sup"
+    # sigma_max is 1, and the up-front seeds already reach it
+    assert res.bound_direction == "exact"
+    assert res.certified_bound == 1.0
 
 
 def test_weak_norm_matches_singular_value_oracle():
@@ -124,6 +127,54 @@ def test_weak_norm_witness_reproduces_value():
     images = xs.vectors @ res.witness
     assert spaces.evaluate_norm(spaces.lp(2), images) == pytest.approx(res.value,
                                                                       abs=1e-9)
+
+
+def test_weak_norm_lp2_meets_sigma_max():
+    rng = np.random.default_rng(36)
+    for _ in range(6):
+        X = rng.standard_normal((int(rng.integers(1, 6)), int(rng.integers(1, 4))))
+        sv = np.linalg.svd(X, compute_uv=False)[0]
+        for res in (vn.weak_norm(spaces.lp(2), seq(f"l2:{X.shape[1]}", X)),
+                    vn.weak_star_norm(spaces.lp(2), seq(f"l2:{X.shape[1]}", X))):
+            assert res.bound_direction == "exact"
+            assert res.converged is True
+            assert res.certified_bound == pytest.approx(sv, rel=1e-12, abs=0.0)
+            assert res.value == pytest.approx(sv, rel=1e-12, abs=0.0)
+            assert res.details["stop"] == "certificate"
+
+
+def test_weak_norm_lp3_open_gap_stays_a_lower_bound():
+    X = [[1.0, 2.0], [0.5, -1.0], [2.0, 0.0]]
+    res = vn.weak_norm(spaces.lp(3), seq("l2:2", X), budget=LIGHT)
+    # the interpolation bound sits about 6% above the searched value here
+    assert res.certified_bound > res.value * (1.0 + 1e-12)
+    assert res.bound_direction == "lower-of-sup"
+    assert "stop" not in res.details
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_weak_norm_l1_is_the_vertex_maximum(d, p):
+    rng = np.random.default_rng([d, int(p)])
+    for _ in range(5):
+        X = rng.standard_normal((int(rng.integers(1, 6)), d))
+        res = vn.weak_norm(spaces.lp(p), seq(f"l1:{d}", X), budget=LIGHT)
+        want = oc.weak_l1_vertex_oracle(X, p)
+        assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert res.bound_direction == "exact"
+
+
+def test_weak_norm_l1_no_longer_stalls_on_the_cube():
+    # a compass search from the old seeds stopped at 2.1052245710207425
+    X = [[-0.00394683219255672, 0.5190985159033712],
+         [-0.44960543379396184, -1.1873531165714097],
+         [0.9597641906937479, -0.5286614909889307],
+         [-1.4831928282341542, 0.3425323161218512]]
+    res = vn.weak_norm(spaces.lp(2), seq("l1:2", X), budget=OptBudget(restarts=3,
+                                                                     iterations=100))
+    assert res.value == pytest.approx(2.523198643039146, rel=1e-12, abs=0.0)
+    assert res.value == pytest.approx(oc.weak_l1_vertex_oracle(X, 2.0), rel=1e-12, abs=0.0)
+    assert res.details["restarts_run"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +231,19 @@ def test_mid_nondecreasing_in_m():
     assert vals[1] <= vals[2] + 1e-9
 
 
+def test_mid_lp2_meets_the_frobenius_norm():
+    rng = np.random.default_rng(37)
+    for _ in range(6):
+        d = int(rng.integers(1, 4))
+        X = rng.standard_normal((int(rng.integers(1, 6)), d))
+        res = vn.mid_norm(spaces.lp(2), seq(f"l2:{d}", X), m=int(rng.integers(d, 5)))
+        fro = math.sqrt(math.fsum((X * X).ravel()))
+        assert res.bound_direction == "exact"
+        assert res.converged is True
+        assert res.certified_bound == pytest.approx(fro, rel=1e-12, abs=0.0)
+        assert res.value == pytest.approx(fro, rel=1e-12, abs=0.0)
+
+
 def test_mid_invalid_m():
     with pytest.raises(ValueError):
         vn.mid_norm(spaces.lp(2), seq("l2:2", [[1, 0]]), m=0, budget=LIGHT)
@@ -223,6 +287,30 @@ def test_chain_scale_family():
     xs = seq("l2:2", [[1.0, 0.3], [0.4, -0.9]])
     rep = vn.chain_check(spaces.sargent_m(SQRT), xs, m=3, budget=LIGHT)
     assert rep.ok(), rep.violations
+
+
+def _inflated(monkeypatch, name, factor):
+    inner = getattr(vn, name)
+
+    def wrapped(*args, **kwargs):
+        res = inner(*args, **kwargs)
+        return dataclasses.replace(res, value=res.value * factor)
+
+    monkeypatch.setattr(vn, name, wrapped)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+@pytest.mark.parametrize("name", ["weak_norm", "mid_norm"])
+def test_chain_check_tolerance_is_relative(monkeypatch, name, scale):
+    # for one vector weak = mid = strong, so a raised value breaks one link
+    xs = seq("l2:2", [[0.6 * scale, 0.8 * scale]])
+    _inflated(monkeypatch, name, 1.0 + 4 * np.finfo(float).eps)
+    assert vn.chain_check(spaces.lp(2), xs, m=2, budget=LIGHT).ok()
+    monkeypatch.undo()
+    _inflated(monkeypatch, name, 1.0 + 1e-6)
+    rep = vn.chain_check(spaces.lp(2), xs, m=2, budget=LIGHT)
+    assert len(rep.violations) == 1
+    assert rep.violations[0].startswith(name.split("_")[0])
 
 
 # ---------------------------------------------------------------------------
