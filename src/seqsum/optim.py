@@ -6,6 +6,15 @@ explicit parameter choice.  The engine is a deterministic multi-start compass
 search: derivative free, so it runs unchanged over every norm family here,
 including the nonsmooth ones.
 
+Both searches take an optional target, a certified bound on the other side
+of the value that the caller computes: an upper bound of a sup, a lower
+bound of an inf.  The search stops once its best value is within 1e-12
+relative of the target, checked after the seeds and before each restart.  A
+result that meets it is "exact" and converged, since the gap is closed; one
+that does not is the untargeted search's result bit for bit, and either
+carries the target as certified_bound.  Otherwise converged is the flag of
+the restart that produced the witness.
+
 Determinism contract: identical inputs and budget (including the seed) give
 bit-identical results.  Each restart draws from its own child generator of
 np.random.SeedSequence(entropy=seed, spawn_key=(restart,)), so results do not
@@ -358,9 +367,16 @@ def maximize_over_ball(objective, domain: Ball, budget: OptBudget | None = None,
 
 
 def minimize_over_family(objective, domain: Ball, budget: OptBudget | None = None,
-                         seeds=None) -> Witnessed:
-    """Witnessed upper bound of inf { objective(x) : x in domain }."""
+                         seeds=None, target: float | None = None) -> Witnessed:
+    """Witnessed upper bound of inf { objective(x) : x in domain }.
+
+    Every point of the domain is a feasible parameter choice, so the value at
+    the witness is a sound upper bound.  target is a certified lower bound of
+    the inf; the search stops at it, and a value that meets it is "exact".
+    """
     x, val, conv, det = _run(objective, domain, budget, seeds, sign=-1.0,
-                             homogeneous=False)
-    return Witnessed(value=-val, witness=x, bound_direction="upper-of-inf",
-                     converged=conv, details=det)
+                             homogeneous=False, target=target)
+    return Witnessed(value=-val, witness=x,
+                     bound_direction="exact" if "stop" in det else "upper-of-inf",
+                     converged=conv, details=det,
+                     certified_bound=None if target is None else float(target))

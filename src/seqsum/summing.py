@@ -92,10 +92,12 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
     """Operator norm, exact for the built-in formula cases.
 
     Exact branches: domain l1 (column maximum, any codomain), domain linf
-    (sign-vector enumeration, any codomain), and domain l2 paired with
-    codomain l1, l2, or linf.  Anything else falls back to witnessed ascent
-    over the domain ball, which stops at operator_norm_upper_matrix: it is
-    "exact" when a witness meets that bound, and lower-of-sup otherwise.
+    (sign-vector enumeration, any codomain), codomain linf (the largest dual
+    norm of a row, any domain, with the duality map of that row as witness),
+    and domain l2 paired with codomain l1 or l2.  Anything else falls back to
+    witnessed ascent over the domain ball, which stops at
+    operator_norm_upper_matrix: it is "exact" when a witness meets that
+    bound, and lower-of-sup otherwise.
     """
     M = T.entries
     e, d = M.shape
@@ -116,17 +118,19 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
         i = int(np.argmax(vals))
         return Witnessed(value=float(vals[i]), witness=S[i], bound_direction="exact",
                          converged=True)
-    if dom_p == 2.0 and (cod.p in (1.0, 2.0) or math.isinf(cod.p)):
+    if math.isinf(cod.p):
+        # |(Mx)_i| <= |row_i|_dom* |x|_dom, with equality at the duality map
+        rows = vn.row_lengths(T.domain.flip(), M)
+        i = int(np.argmax(rows))
+        x = np.sign(M[i]) * spaces.dual_norm(spaces.lp(dom_p), M[i]).witness
+        return Witnessed(value=float(rows[i]), witness=x, bound_direction="exact",
+                         converged=True)
+    if dom_p == 2.0 and cod.p in (1.0, 2.0):
         if cod.p == 2.0:
             U, s, Vt = np.linalg.svd(M)
             return Witnessed(value=float(s[0]), witness=Vt[0],
                              bound_direction="exact", converged=True)
         # the l2 lengths go through the scale-safe row_lengths kernel
-        if math.isinf(cod.p):
-            row2 = vn.row_lengths(T.domain, M)
-            i = int(np.argmax(row2))
-            return Witnessed(value=float(row2[i]), witness=M[i] / row2[i],
-                             bound_direction="exact", converged=True)
         if e <= vn._SIGN_ENUM_LIMIT:  # cod l1
             S = vn._sign_vectors(e)
             imgs = S @ M

@@ -4,9 +4,11 @@ A d x e matrix of coefficients stands for an element of the algebraic tensor
 product of two oracle spaces.  The projective-style quasi-norm is an infimum
 of representation costs (strong factor times a dual-space factor) over exact
 factorizations; its convexified variant runs over multi-block
-representations.  Both are witness-certified upper bounds.  The injective
-norm, the operator norm of the coefficients from the second factor's dual
-into the first, is the certified lower reference of the sandwich.
+representations.  Both are witness-certified upper bounds, each carrying a
+certified lower bound by trace duality, which on Hilbert factors is the
+norm itself.  The injective norm, the operator norm of the coefficients
+from the second factor's dual into the first, is the certified lower
+reference of the sandwich.
 
 Factorizations are parametrized so reconstruction is exact by construction:
 a base factorization from the SVD is composed with an invertible mixing
@@ -166,19 +168,36 @@ def _block_cost(spec, dual_spec, u: Tensor, Xm, Ym):
     return lx * ly
 
 
+def _projective_lower(u: Tensor) -> float:
+    """Certified lower bound of every representation cost, by trace duality.
+
+    For any exact representation, Hoelder for the Koethe pair gives
+    sum_j |x_j| |y_j| <= strong(x) strong_dual(y), and for any matrix T
+    |<T, E>| = |sum_j x_j . T y_j| <= ||T : Y -> X*|| sum_j |x_j| |y_j|.  T is
+    the polar factor P Q^T of E's SVD, which makes the bound the nuclear norm
+    of E on Hilbert factors (Ryan 2002, section 2.2).
+    """
+    P, _, Qt = np.linalg.svd(u.entries, full_matrices=False)
+    T = P @ Qt
+    norm, _ = vn.operator_norm_upper(T, u.codomain, spaces.lp(u.domain.flip().p))
+    return abs(float(np.sum(T * u.entries))) / norm
+
+
 def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
                  budget: OptBudget | None = None) -> Witnessed:
     """Single-block representation cost, minimized over exact factorizations.
 
     The reported value uses the certified cost strong(spec) x strong(dual
-    spec) and is a true upper bound.
+    spec) and is a true upper bound.  The search stops at the trace-duality
+    lower bound, carried as certified_bound; a value that meets it is
+    "exact", as on Hilbert factors with spec lp(2), where the SVD seed
+    attains it.
     """
     dual_spec = _require_dual(spec)
     E = u.entries
     if not np.any(E):
-        return Witnessed(value=0.0, witness=np.zeros(0),
-                         bound_direction="upper-of-inf", converged=True,
-                         details={"rank": 0})
+        return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
+                         converged=True, details={"rank": 0}, certified_bound=0.0)
     r = r if r is not None else min(E.shape)
     X0, Y0 = _base_factors(E, r)
 
@@ -188,7 +207,8 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
 
     domain = optim.free_domain(r * r, scale=0.4, label="mixing")
     seeds = [np.zeros(r * r)]
-    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=seeds)
+    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=seeds,
+                                     target=_projective_lower(u))
     mixed = _mixed_block(X0, Y0, res.witness.reshape(r, r))
     rep = Representation(blocks=(
         (VectorSequence(u.domain, mixed[0]), VectorSequence(u.codomain, mixed[1])),
@@ -209,15 +229,15 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
     by its own balanced SVD) plus a mixing matrix for the last block, which
     absorbs the remainder so reconstruction stays exact.  Seeded with the
     single-block solution (computed here when not passed in), so the value
-    never exceeds it beyond float noise.
+    never exceeds it beyond float noise.  Stops at the same certified lower
+    bound as gamma_lambda.
     """
     dual_spec = _require_dual(spec)
     E = u.entries
     d, e = E.shape
     if not np.any(E):
-        return Witnessed(value=0.0, witness=np.zeros(0),
-                         bound_direction="upper-of-inf", converged=True,
-                         details={"blocks": 0})
+        return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
+                         converged=True, details={"blocks": 0}, certified_bound=0.0)
     if blocks < 1:
         raise ValueError("need at least one block")
     r = r if r is not None else min(d, e)
@@ -244,7 +264,8 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
     seed = np.zeros(free + r * r)
     if single_block.witness is not None and single_block.witness.size == r * r:
         seed[free:] = single_block.witness
-    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[seed])
+    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[seed],
+                                     target=_projective_lower(u))
     (Xb, Yb), (Xm, Ym, _) = block_pieces(res.witness)
     Ws = res.witness[:free].reshape(B - 1, d, e)
     pieces = [(Xb[b], Yb[b]) for b in range(B - 1) if np.any(Ws[b])] + [(Xm, Ym)]

@@ -181,7 +181,8 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     float or an array of the stack's shape.  Returns (value, grade) with
     grade "exact" (the bound is the norm, for every matrix of a stack) or
     "certified" (a true upper bound, possibly loose).  It is the smaller of
-    dom's formula and the normality bound, exact for one nonzero row.
+    dom's formula and the normality bound, which is exact for one nonzero row
+    and, into linf or c0, for every matrix.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2:
@@ -214,7 +215,8 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     # normality: |(Mx)_i| <= |row_i|_dom* |x|_dom
     rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
     val = np.minimum(val, evaluate_norms(cod, rows))
-    if grade != "exact" and np.all(np.count_nonzero(rows, axis=-1) <= 1):
+    into_sup = cod.family == "c0" or (cod.family == "lp" and math.isinf(cod.p))
+    if grade != "exact" and (into_sup or np.all(np.count_nonzero(rows, axis=-1) <= 1)):
         grade = "exact"
     return (float(val) if one else val), grade
 

@@ -139,6 +139,58 @@ def test_target_met_by_a_seed_runs_no_restart():
     assert res.value == res.certified_bound == 1.0
 
 
+def _l1_offset(X, c=np.array([0.7, -1.2, 0.4])):
+    return 1.0 + np.abs(X - c).sum(axis=-1)
+
+
+def test_min_target_below_the_inf_changes_nothing():
+    # the inf of 1 + |x - c|_1 is 1, so 0.5 is never met
+    budget = OptBudget(restarts=3, iterations=60, seed=9)
+    seeds = [np.zeros(3)]
+    free = optim.minimize_over_family(_l1_offset, optim.free_domain(3), budget=budget,
+                                      seeds=seeds)
+    capped = optim.minimize_over_family(_l1_offset, optim.free_domain(3), budget=budget,
+                                        seeds=seeds, target=0.5)
+    assert np.array_equal(capped.witness, free.witness)
+    assert capped.value == free.value
+    assert capped.details["evals"] == free.details["evals"]
+    assert capped.converged == free.converged
+    assert capped.bound_direction == free.bound_direction == "upper-of-inf"
+    assert capped.certified_bound == 0.5 and free.certified_bound is None
+    assert "stop" not in capped.details
+
+
+def test_min_target_met_by_a_seed_runs_no_restart():
+    seeds = [np.zeros(3), np.array([0.7, -1.2, 0.4])]
+    res = optim.minimize_over_family(_l1_offset, optim.free_domain(3),
+                                     budget=OptBudget(restarts=8, iterations=300),
+                                     seeds=seeds, target=1.0)
+    assert res.details["restarts_run"] == 0
+    assert res.details["stop"] == "certificate"
+    assert res.details["evals"] == len(seeds)
+    assert res.bound_direction == "exact"
+    assert res.converged is True
+    assert res.value == res.certified_bound == 1.0
+    assert np.array_equal(res.witness, seeds[1])
+
+
+def test_min_target_met_by_a_restart_skips_the_rest():
+    # a loose lower bound: the first restart gets within it and the other
+    # seven are skipped, with the count of evaluations the one restart made
+    budget = OptBudget(restarts=8, iterations=300, min_step=1e-6)
+    res = optim.minimize_over_family(_l1_offset, optim.free_domain(3), budget=budget,
+                                     seeds=[np.zeros(3)], target=1.0 + 1e-3)
+    one = optim.minimize_over_family(_l1_offset, optim.free_domain(3),
+                                     budget=OptBudget(restarts=1, iterations=300,
+                                                      min_step=1e-6),
+                                     seeds=[np.zeros(3)])
+    assert res.details["restarts_run"] == 1
+    assert res.details["stop"] == "certificate"
+    assert res.bound_direction == "exact" and res.converged is True
+    assert res.value == one.value and res.details["evals"] == one.details["evals"]
+    assert res.value <= res.certified_bound * (1.0 + 1e-12)
+
+
 @pytest.mark.parametrize("scale", [1e-170, 1.0, 1e300])
 def test_exceeds_is_relative_to_scale(scale):
     assert optim.exceeds(scale * (1.0 + 1e-6), scale)

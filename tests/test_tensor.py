@@ -51,12 +51,15 @@ def test_gamma_elementary_bounded_by_product():
     res = tensor.gamma_lambda(LP2, u, r=1, budget=LIGHT)
     bound = float(np.linalg.norm(x)) * float(np.linalg.norm(y))
     assert res.value <= bound + 1e-9
-    assert res.bound_direction == "upper-of-inf"
+    # on Hilbert factors the trace-duality bound is the nuclear norm, |x||y|
+    assert res.bound_direction == "exact"
+    assert res.certified_bound == pytest.approx(bound, rel=1e-12, abs=0.0)
 
 
 def test_gamma_zero():
-    assert tensor.gamma_lambda(LP2, tens([[0.0, 0.0], [0.0, 0.0]]),
-                               budget=LIGHT).value == 0.0
+    res = tensor.gamma_lambda(LP2, tens([[0.0, 0.0], [0.0, 0.0]]), budget=LIGHT)
+    assert res.value == res.certified_bound == 0.0
+    assert res.bound_direction == "exact"
 
 
 def test_gamma_identity_matches_factorization_grid():
@@ -77,6 +80,66 @@ def test_gamma_random_upper_bounds_trace_oracle():
         res = tensor.gamma_lambda(LP2, tens(M), budget=LIGHT)
         # the angle grid itself overshoots the true minimum by O(step^2)
         assert res.value >= oc.trace_norm_oracle(M, grid=5760) - 1e-5
+
+
+GEOM_HALF = spaces.WeightSeq(prefix=(1.0,), tail="geometric:0.5")
+SQRT = spaces.WeightSeq(prefix=(1.0,), tail="sqrt")
+# every scale family with an analytic Koethe dual
+_DUALIZABLE = {
+    "lp1": spaces.lp(1), "lp1.5": spaces.lp(1.5), "lp2": LP2, "lp3": spaces.lp(3),
+    "c0": spaces.c0(),
+    "orlicz_power3": spaces.orlicz(spaces.OrliczFunction(kind="power", p=3.0)),
+    "garling_mu": spaces.garling_mu(GEOM_HALF, 2.0),
+    "garling_nu": spaces.garling_nu(GEOM_HALF, 1.5),
+    "sargent_m": spaces.sargent_m(SQRT), "sargent_n": spaces.sargent_n(SQRT),
+}
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3)], ids=lambda s: f"{s[0]}x{s[1]}")
+@pytest.mark.parametrize("factor", ["l1", "l2", "l3", "linf"])
+@pytest.mark.parametrize("lam", list(_DUALIZABLE))
+def test_gamma_lower_bound_is_sound(lam, factor, shape):
+    spec = _DUALIZABLE[lam]
+    d, e = shape
+    E = np.random.default_rng([list(_LP).index(factor), d, e]).standard_normal(shape)
+    u = tens(E, f"{factor}:{d}", f"{factor}:{e}")
+    # soundness does not depend on the effort of the search
+    budget = OptBudget(restarts=1, iterations=20)
+    g = tensor.gamma_lambda(spec, u, budget=budget)
+    gc = tensor.gamma_lambda_c(spec, u, budget=budget, single_block=g)
+    for res in (g, gc):
+        assert res.certified_bound <= res.value * (1.0 + 1e-12)
+        met = res.value <= res.certified_bound * (1.0 + 1e-12)
+        assert res.bound_direction == ("exact" if met else "upper-of-inf")
+        assert ("stop" in res.details) == met
+    if factor == "l2" and lam == "lp2":
+        # the SVD seed costs the nuclear norm, which the bound equals
+        nuclear = float(np.linalg.svd(E, compute_uv=False).sum())
+        for res in (g, gc):
+            assert res.bound_direction == "exact"
+            assert res.details["restarts_run"] == 0
+            assert res.value == pytest.approx(nuclear, rel=1e-12, abs=0.0)
+            assert res.certified_bound == pytest.approx(nuclear, rel=1e-12, abs=0.0)
+
+
+def test_gamma_open_gap_runs_the_untargeted_search(monkeypatch):
+    # on l3 factors the bound stays below the search, so every restart runs
+    # and the result is the untargeted search's, bit for bit
+    u = tens([[1.0, -0.4, 0.3], [0.2, 0.9, -1.1]], "l3:2", "l3:3")
+    g = tensor.gamma_lambda(LP2, u, budget=LIGHT)
+    gc = tensor.gamma_lambda_c(LP2, u, budget=LIGHT, single_block=g)
+    monkeypatch.setattr(tensor, "_projective_lower", lambda u: None)
+    g0 = tensor.gamma_lambda(LP2, u, budget=LIGHT)
+    gc0 = tensor.gamma_lambda_c(LP2, u, budget=LIGHT, single_block=g0)
+    for res, free in ((g, g0), (gc, gc0)):
+        assert res.certified_bound < res.value * (1.0 - 1e-6)
+        assert res.bound_direction == free.bound_direction == "upper-of-inf"
+        assert "stop" not in res.details
+        assert free.certified_bound is None
+        assert np.array_equal(res.witness, free.witness)
+        assert res.value == free.value
+        assert res.details["evals"] == free.details["evals"]
+        assert res.converged == free.converged
 
 
 def test_gamma_rejects_rank_below_effective():
@@ -178,7 +241,7 @@ def test_injective_is_the_operator_norm(dom, cod, shape):
     assert np.linalg.norm(g, spaces.conjugate_exponent(b)) <= 1.0 + 1e-12
     assert abs(float(f @ E @ g)) == pytest.approx(res.value, rel=1e-12, abs=0.0)
     # operator_norm of E: l_b* -> l_a has a closed form on these pairs
-    if b in (1.0, math.inf) or (b == 2.0 and a != 3.0):
+    if b in (1.0, math.inf) or a == math.inf or (b == 2.0 and a != 3.0):
         assert res.bound_direction == "exact"
         assert res.value == pytest.approx(_injective_reference(E, a, b), rel=1e-12, abs=0.0)
     else:
@@ -186,10 +249,7 @@ def test_injective_is_the_operator_norm(dom, cod, shape):
         assert res.value <= res.certified_bound * (1.0 + 1e-12)
         met = res.value >= res.certified_bound * (1.0 - 1e-12)
         assert res.bound_direction == ("exact" if met else "lower-of-sup")
-        if a == math.inf:
-            # into l_inf the normality bound, the largest row norm, is the norm
-            assert res.certified_bound == pytest.approx(
-                np.linalg.norm(E, b, axis=1).max(), rel=1e-12, abs=0.0)
+
 
 
 def test_injective_l2_linf_reaches_the_column_maximum():
