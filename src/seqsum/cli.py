@@ -213,10 +213,12 @@ def emit_report(results: list[dict], config: dict, fmt: str = "json") -> str:
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(["name", "value", "bound_direction", "converged", "elapsed_ms"])
+        writer.writerow(["name", "value", "bound_direction", "converged", "elapsed_ms",
+                         "certified_bound"])
         for row in results:
             writer.writerow([row["name"], row["value"], row["bound_direction"],
-                             row["converged"], row["elapsed_ms"]])
+                             row["converged"], row["elapsed_ms"],
+                             row.get("certified_bound", "")])
         return buf.getvalue()
     raise CliError(f"unknown format {fmt!r}", EXIT_BAD_INPUT)
 

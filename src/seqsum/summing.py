@@ -1,13 +1,16 @@
 """Summing-operator norms for finite matrices between lp-style oracles.
 
 The three constants are ratio suprema over finite test sequences: images'
-strong norm against the input sequence's weak, mid, or composed handle.  To
-keep lower-of-sup semantics every normalizer is a certified over-estimate of
-the true constraint norm (weak gets its operator-norm upper bound, mid gets
-the strong norm), so each witness is genuinely feasible and each reported
-value is a true lower bound.  Against the strong norm the supremum is ||T||
-by normality, so the mid constant needs no search; the weak-handled ones
-start from singular directions, canonical bases and rank-one compositions.
+strong norm against the input sequence's weak, mid, or composed handle.  Every
+normalizer is a certified over-estimate of the true constraint norm (weak
+gets its operator-norm upper bound, mid gets the strong norm), so each witness
+is genuinely feasible and each value is at most the constant.  Against the
+strong norm the supremum is ||T|| by normality, so the mid constant needs no
+search.  The weak-handled ones are searched from singular directions,
+canonical bases and rank-one compositions, and stop at _summing_upper, a
+closed-form upper bound of both: there they are "exact", which covers the
+Hilbert-Schmidt case (lp(2) on l2^d -> l2^e, with n >= d and, for w^mid,
+m >= e).
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witness
         # |(Mx)_i| <= |row_i|_dom* |x|_dom, with equality at the duality map
         rows = vn.row_lengths(T.domain.flip(), M)
         i = int(np.argmax(rows))
-        x = np.sign(M[i]) * spaces.dual_norm(spaces.lp(dom_p), M[i]).witness
+        x = vn._duality_maps(dom_p, M[i:i + 1])[0]
         return Witnessed(value=float(rows[i]), witness=x, bound_direction="exact",
                          converged=True)
     if dom_p == 2.0 and cod.p in (1.0, 2.0):
@@ -197,20 +200,49 @@ def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
     return evaluate_norms(spec, vn.row_lengths(T.codomain, X @ T.entries.T))
 
 
+def _summing_upper(spec: SpaceSpec, T: OperatorMatrix) -> float:
+    """Certified upper bound of pi_lambda(T), for every length n, and so of
+    w_lambda_mid(T), since the mid handle is below the strong norm.
+
+    With weak(x) the weak norm of (x_i) and t_k the rows of T, it is the
+    smaller of two bounds of strong((T x_i)_i) / weak(x) (Diestel, Jarchow
+    and Tonge 1995, ch. 2):
+    - representation: for T = sum_k y_k f_k and any normal lambda,
+      |T x_i| <= sum_k |f_k(x_i)| |y_k|, so the ratio is at most
+      sum_k |f_k|_X* |y_k|_Y; taken on the rows and on the SVD;
+    - rows, lambda = lp(p) into l_q: |(|t_k|_X*)_k| in l_min(p,q), by
+      Minkowski's inequality for p >= q, after |.|_q <= |.|_p for p < q.
+    On l2 -> l2 with lp(2) it is the Hilbert-Schmidt norm, which is pi_2.
+    """
+    M = T.entries
+    dual = T.domain.flip()
+    rows = vn.row_lengths(dual, M)
+    # the codomain's unit vectors have norm one: the rows representation
+    bounds = [math.fsum(rows)]
+    if spec.family == "lp":
+        bounds.append(float(spaces._pnorm(rows, min(spec.p, T.codomain.p))))
+    try:
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+        cols = vn.row_lengths(T.codomain, U.T)
+        bounds.append(math.fsum(s * cols * vn.row_lengths(dual, Vt)))
+    except np.linalg.LinAlgError:
+        pass
+    return min(bounds)
+
+
 def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
               budget: OptBudget | None = None) -> Witnessed:
     """Summing constant: sup of image strong norm over weakly-bounded xs.
 
     Feasibility divides by the certified weak upper bound (over-normalizes),
-    so the value is a sound lower bound of the length-n constant, which is
-    itself nondecreasing in n.
+    so the value is at most the length-n constant, which is itself
+    nondecreasing in n.  The search stops at _summing_upper, which the
+    result carries, and is "exact" where a witness meets it: on l2 -> l2
+    with lp(2) and n >= d the canonical basis does, at the Hilbert-Schmidt
+    norm.
     """
     if n < 1:
         raise ValueError("sequence length n must be >= 1")
-    if not np.any(T.entries):
-        return Witnessed(value=0.0, witness=np.zeros(n * T.domain.dim),
-                         bound_direction="lower-of-sup", converged=True,
-                         details={"n": n, "normalizer": "weak-upper"})
     # the weak handle of (x_i) is the bound of its trace map X* -> lambda
     ball = vn._operator_ball(T.domain.flip(), spec, n)
 
@@ -218,7 +250,8 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
         return _image_strong(spec, T, flat, n)
 
     res = optim.maximize_over_ball(objective, ball, budget=budget,
-                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True)
+                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True,
+                                   target=_summing_upper(spec, T))
     res.details["n"] = n
     res.details["normalizer"] = "weak-upper"
     return res
@@ -250,15 +283,17 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     Searches pairs (S, xs) with S in the ball of operators from the codomain
     into the m-truncated scalar space and xs weakly bounded; the objective is
     the image strong norm of (S T x_i)_i.  Both constraint handles are
-    certified upper bounds, so the value is sound.
+    certified upper bounds, so the value is at most the constant.  Every S
+    contracts, so the mid handle is below the strong norm and the value is
+    at most pi_lambda's bound, _summing_upper: the search stops there, and
+    the result carries it.  When m >= e the padded identity [I_e; 0], scaled
+    into the operator ball, is paired with each sequence seed; into
+    lambda = lp(q) from l_q it scores as pi_lambda's seeds do, so w^mid is
+    "exact" wherever pi_lambda's seeds meet the bound.
     """
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     e, d = T.entries.shape
-    if not np.any(T.entries):
-        return Witnessed(value=0.0, witness=np.zeros(m * e + n * d),
-                         bound_direction="lower-of-sup", converged=True,
-                         details={"n": n, "truncation": m, "split": m * e})
     op_ball = vn._operator_ball(T.codomain, spec, m)
     xs_ball = vn._operator_ball(T.domain.flip(), spec, n)
     domain = optim.concat_domain([op_ball, xs_ball], label="w-mid")
@@ -271,21 +306,22 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
 
     # rank-one S sending the top image direction to the first coordinate
     try:
-        U, _, Vt = np.linalg.svd(T.entries)
-        out_dir, in_dir = U[:, 0], Vt[0]
+        out_dir = np.linalg.svd(T.entries)[0][:, 0]
     except np.linalg.LinAlgError:
-        out_dir, in_dir = np.eye(e)[0], np.eye(d)[0]
+        out_dir = np.eye(e)[0]
     c = spaces.unit_vector_norm(spec, 1)
     S0 = np.zeros((m, e))
     g = out_dir if T.codomain.p == 2.0 else np.sign(out_dir)
     gnorm = T.codomain.flip().norm(g)
     if gnorm > 0:
         S0[0] = g / (gnorm * c)
-    seeds = []
-    for xs_seed in _sequence_seeds(T, n, xs_ball):
-        seeds.append(np.concatenate([op_ball.project(S0.ravel()), xs_seed]))
+    ops = [S0]
+    if m >= e:
+        ops.append(np.eye(m, e))
+    seeds = [np.concatenate([op_ball.project(S.ravel()), xs_seed])
+             for S in ops for xs_seed in _sequence_seeds(T, n, xs_ball)]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
-                                   homogeneous=False)
+                                   homogeneous=False, target=_summing_upper(spec, T))
     res.details["n"] = n
     res.details["truncation"] = m
     res.details["split"] = m * e

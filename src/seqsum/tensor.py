@@ -173,14 +173,25 @@ def _projective_lower(u: Tensor) -> float:
 
     For any exact representation, Hoelder for the Koethe pair gives
     sum_j |x_j| |y_j| <= strong(x) strong_dual(y), and for any matrix T
-    |<T, E>| = |sum_j x_j . T y_j| <= ||T : Y -> X*|| sum_j |x_j| |y_j|.  T is
-    the polar factor P Q^T of E's SVD, which makes the bound the nuclear norm
-    of E on Hilbert factors (Ryan 2002, section 2.2).
+    |<T, E>| = |sum_j x_j . T y_j| <= ||T : Y -> X*|| sum_j |x_j| |y_j|.  The
+    largest bound over a few T is kept.  The polar factor P Q^T of E's SVD
+    makes it the nuclear norm of E on Hilbert factors (Ryan 2002, section
+    2.2).  On X = l1 the duality maps of E's rows in Y make it
+    sum_i |row_i|_Y, which is the projective norm of l1 (x) Y = l1(Y); on
+    Y = l1 those of the columns in X give sum_j |col_j|_X.
     """
-    P, _, Qt = np.linalg.svd(u.entries, full_matrices=False)
-    T = P @ Qt
-    norm, _ = vn.operator_norm_upper(T, u.codomain, spaces.lp(u.domain.flip().p))
-    return abs(float(np.sum(T * u.entries))) / norm
+    E = u.entries
+    P, _, Qt = np.linalg.svd(E, full_matrices=False)
+    cands = [P @ Qt]
+    if u.domain.p == 1.0:
+        cands.append(vn._duality_maps(u.codomain.flip().p, E))
+    if u.codomain.p == 1.0:
+        cands.append(vn._duality_maps(u.domain.flip().p, E.T).T)
+    best = 0.0
+    for T in cands:
+        norm, _ = vn.operator_norm_upper(T, u.codomain, spaces.lp(u.domain.flip().p))
+        best = max(best, abs(float(np.sum(T * E))) / norm)
+    return best
 
 
 def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
@@ -288,8 +299,7 @@ def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:
     op = operator_norm(OperatorMatrix(domain=u.codomain.flip(), codomain=u.domain,
                                       entries=E), budget=budget)
     g = op.witness
-    Eg = E @ g
-    f = np.sign(Eg) * spaces.dual_norm(spaces.lp(u.domain.flip().p), Eg).witness
+    f = vn._duality_maps(u.domain.flip().p, (E @ g)[None])[0]
     return replace(op, witness=np.concatenate([f, g]))
 
 

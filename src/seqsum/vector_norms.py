@@ -94,6 +94,13 @@ def row_lengths(oracle: NormOracle, M) -> np.ndarray:
     return spaces._pnorm(np.abs(np.asarray(M, dtype=float)), oracle.p)
 
 
+def _duality_maps(p: float, V) -> np.ndarray:
+    """Row j lies in the unit ball of l_p and pairs with row j of V to that
+    row's norm in the conjugate space: the duality map of the row."""
+    spec = spaces.lp(p)
+    return np.array([np.sign(v) * spaces.dual_norm(spec, v).witness for v in V])
+
+
 def oracle_from_label(label: str) -> NormOracle:
     """Parse "l1:3", "l2:2", "linf:4", or "l2.5:3"."""
     try:

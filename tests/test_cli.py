@@ -373,9 +373,22 @@ def test_csv_report_drops_witness(tmp_path, capsys):
     assert code == 0
     rows = list(csv.reader(out_path.read_text().splitlines()))
     assert rows[0] == ["name", "value", "bound_direction", "converged",
-                       "elapsed_ms"]
+                       "elapsed_ms", "certified_bound"]
     assert len(rows) == 2
     assert "witness" not in ",".join(rows[0])
+    # the analytic dual carries no certified bound: its cell is empty
+    assert rows[1][-1] == ""
+
+
+def test_csv_report_carries_certified_bound(tmp_path, capsys):
+    out_path = tmp_path / "report.csv"
+    code, _, _ = run_cli(
+        ["summing", "--kind", "pi", "--space", "lp:2", "--n", "2", "--format", "csv",
+         "--operator", '{"domain": "l2:1", "codomain": "l2:1", "rows": [[2.0]]}',
+         "--out", str(out_path)], capsys)
+    assert code == 0
+    header, row = csv.reader(out_path.read_text().splitlines())
+    assert dict(zip(header, row))["certified_bound"] == "2.0"
 
 
 def test_emit_report_rejects_empty():

@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from seqsum import spaces, summing, vector_norms as vn
+from seqsum import optim, spaces, summing, vector_norms as vn
 from seqsum.optim import OptBudget, Witnessed
 from seqsum.spaces import OrliczFunction, WeightSeq
 
@@ -264,6 +265,109 @@ def test_w_mid_dominates_pi_of_witness_composition():
         comp = summing.OperatorMatrix(l2, vn.lp_oracle(2, 2), S0 @ T.entries)
         pi_c = summing.pi_lambda(LP2, comp, n=3, budget=LIGHT)
         assert wm.value >= pi_c.value - 1e-6
+
+
+# ---------------------------------------------------------------------------
+# the certified upper bound of pi_lambda and w_lambda_mid
+
+
+_BOUND_SPECS = {
+    "lp1": spaces.lp(1), "lp1.5": spaces.lp(1.5), "lp2": LP2, "lp3": spaces.lp(3),
+    "sargent_m": spaces.sargent_m(WeightSeq(prefix=(1.0,), tail="sqrt")),
+}
+_FACTORS = ["l1", "l1.5", "l2", "l3", "linf"]
+_PROPERTY = settings(deadline=None, derandomize=True, max_examples=40)
+
+
+def _two_sided(spec, T, budget):
+    n = m = 3
+    return (summing.pi_lambda(spec, T, n=n, budget=budget),
+            summing.w_lambda_mid(spec, T, n=n, m=m, budget=budget))
+
+
+@_PROPERTY
+@given(st.sampled_from(list(_BOUND_SPECS)), st.sampled_from(_FACTORS),
+       st.sampled_from(_FACTORS), st.integers(1, 3), st.integers(1, 3),
+       st.integers(0, 2**16))
+def test_summing_bound_is_sound(lam, dom, cod, d, e, seed):
+    spec = _BOUND_SPECS[lam]
+    T = op(np.random.default_rng(seed).standard_normal((e, d)), f"{dom}:{d}", f"{cod}:{e}")
+    pi, wm = _two_sided(spec, T, OptBudget(restarts=2, iterations=40))
+    for res in (pi, wm):
+        assert res.certified_bound == summing._summing_upper(spec, T)
+        assert res.value <= res.certified_bound * (1.0 + 1e-12)
+        assert (res.bound_direction == "exact") == (res.details.get("stop") == "certificate")
+        assert res.bound_direction in ("exact", "lower-of-sup")
+        if res.bound_direction == "exact":
+            assert res.value >= res.certified_bound * (1.0 - 1e-12)
+    # the pi witness is weakly bounded and reproduces the value
+    X = pi.witness.reshape(3, d)
+    assert vn.weak_norm_upper(spec, vn.VectorSequence(T.domain, X)) <= 1.0 + 1e-9
+    assert pi.value == summing._image_strong(spec, T, pi.witness, 3)
+    assert summing.mid_weak_witness_check(spec, T, wm).ok
+    pm = summing.pi_lambda_mid(spec, T, n=3, budget=OptBudget(restarts=2, iterations=40))
+    assert summing.strong_mid_witness_check(spec, T, pm).ok
+
+
+@_PROPERTY
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2**16))
+def test_hilbert_schmidt_is_met_by_the_seeds(d, e, seed):
+    # pi_2 on l2 -> l2 is the Frobenius norm: the canonical basis (n >= d)
+    # meets the bound up front, and the padded identity carries it to w^mid
+    M = np.random.default_rng(seed).standard_normal((e, d))
+    T = op(M, f"l2:{d}", f"l2:{e}")
+    fro = float(np.linalg.norm(M))
+    for res in _two_sided(LP2, T, LIGHT):
+        assert res.bound_direction == "exact"
+        assert res.converged
+        assert res.details["restarts_run"] == 0
+        assert res.value == pytest.approx(fro, rel=1e-12, abs=0.0)
+        assert res.certified_bound == pytest.approx(fro, rel=1e-12, abs=0.0)
+
+
+def test_summing_bound_closed_forms():
+    M = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
+    T = op(M, "linf:3", "l3:2")
+    rows = np.abs(M).sum(axis=1)  # dual norms of the rows on an linf domain
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    svd = float(np.sum(s * np.sum(np.abs(U) ** 3, axis=0) ** (1 / 3)
+                       * np.abs(Vt).sum(axis=1)))
+    # lp(p) into l3: the row bound is the l_min(p,3) norm of the row norms
+    for p, r in ((1.0, 1.0), (2.0, 2.0), (4.0, 3.0)):
+        want = min(rows.sum(), float(np.sum(rows**r) ** (1 / r)), svd)
+        assert summing._summing_upper(spaces.lp(p), T) == pytest.approx(want, rel=1e-14)
+    assert summing._summing_upper(spaces.lp(4.0), T) < min(rows.sum(), svd)
+    # a scale family has only the representation bounds, rows and SVD
+    sm = _BOUND_SPECS["sargent_m"]
+    assert summing._summing_upper(sm, T) == pytest.approx(min(rows.sum(), svd), rel=1e-14)
+    # rank one: the SVD representation is |f|_X* |y|_Y, sharp for every lambda
+    f, y = np.array([0.3, -1.2, 0.4]), np.array([2.0, -1.0])
+    R = summing.rank_one_operator(vn.lp_oracle(3, 3), vn.lp_oracle(1.5, 2), f, y)
+    want = vn.lp_oracle(1.5, 3).norm(f) * vn.lp_oracle(1.5, 2).norm(y)
+    assert summing._summing_upper(sm, R) == pytest.approx(want, rel=1e-13)
+
+
+def test_summing_open_gap_runs_the_untargeted_search(monkeypatch):
+    # lp(2) on l2 -> l3: the bound stays above both searches, so every
+    # restart runs and each result is the untargeted search's, bit for bit
+    T = op(np.random.default_rng(1).standard_normal((3, 3)), "l2:3", "l3:3")
+    sweeps = []
+    sweep = optim._sweep_search
+    monkeypatch.setattr(optim, "_sweep_search",
+                        lambda *a: sweeps.append(1) or sweep(*a))
+    targeted = _two_sided(LP2, T, LIGHT)
+    assert len(sweeps) == 2 * LIGHT.restarts
+    monkeypatch.setattr(summing, "_summing_upper", lambda spec, T: None)
+    free = _two_sided(LP2, T, LIGHT)
+    for res, res0 in zip(targeted, free):
+        assert res.value < res.certified_bound * (1.0 - 1e-3)
+        assert res.bound_direction == res0.bound_direction == "lower-of-sup"
+        assert "stop" not in res.details
+        assert res0.certified_bound is None
+        assert np.array_equal(res.witness, res0.witness)
+        assert res.value == res0.value
+        assert res.details == res0.details
+        assert res.converged == res0.converged
 
 
 _DRIFT = 1.0 - 4 * np.finfo(float).eps

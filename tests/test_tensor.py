@@ -142,6 +142,26 @@ def test_gamma_open_gap_runs_the_untargeted_search(monkeypatch):
         assert res.converged == free.converged
 
 
+@pytest.mark.parametrize("dom, cod", [("l1:2", "l2:3"), ("l1:2", "l3:3"),
+                                      ("l2:2", "l1:3"), ("linf:2", "l1:3")])
+def test_projective_lower_on_l1_factors(dom, cod):
+    # l1 (x) Y = l1(Y): the projective norm is sum_i |row_i|_Y, attained by
+    # the duality maps of the rows; on Y = l1 by those of the columns in X
+    E = np.random.default_rng(0).standard_normal((2, 3))
+    u = tens(E, dom, cod)
+    if u.domain.p == 1.0:
+        want = float(np.sum(vn.row_lengths(u.codomain, E)))
+    else:
+        want = float(np.sum(vn.row_lengths(u.domain, E.T)))
+    assert tensor._projective_lower(u) == pytest.approx(want, rel=1e-12)
+    g = tensor.gamma_lambda(LP2, u, budget=LIGHT)
+    assert g.certified_bound == tensor._projective_lower(u)
+    assert g.certified_bound <= g.value * (1.0 + 1e-12)
+    if (dom, cod) == ("l1:2", "l2:3"):
+        # the polar factor alone gave 1.2140 here
+        assert g.certified_bound == pytest.approx(1.3206329274118929, rel=1e-12)
+
+
 def test_gamma_rejects_rank_below_effective():
     u = tens([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
