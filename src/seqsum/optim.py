@@ -42,6 +42,7 @@ __all__ = [
     "Ball",
     "InfeasibleSeedError",
     "exceeds",
+    "meets",
     "gauge_ball",
     "free_domain",
     "concat_domain",
@@ -103,6 +104,12 @@ def exceeds(lhs: float, rhs: float) -> bool:
     return lhs > rhs + 1e-9 * max(abs(lhs), abs(rhs))
 
 
+def meets(value, target):
+    """value reaches target to 1e-12 relative: the rule by which a search
+    stops at its certified bound, elementwise for arrays of values."""
+    return value >= target - 1e-12 * abs(target)
+
+
 @dataclass(frozen=True)
 class Ball:
     """Search domain with a feasibility projection.
@@ -110,8 +117,9 @@ class Ball:
     project must be idempotent and land inside the feasible set; it acts on
     the last axis, row by row, of a point or a stack of points.  membership
     is the ground-truth test used to certify one witness.  to_boundary, when
-    set, rescales a nonzero point onto the unit sphere of the domain and is
-    only used to polish maximizers of homogeneous objectives.
+    set, rescales a nonzero point onto the unit sphere of the domain; the
+    search polishes its best point with it, and keeps the rescaled point
+    only if it scores at least as well.
     """
 
     dim: int
@@ -266,7 +274,7 @@ def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
 
 
 def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
-         homogeneous: bool, target: float | None = None):
+         target: float | None = None):
     budget = budget or OptBudget()
     seeds = list(seeds or [])
     if domain.dim == 0:
@@ -307,7 +315,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     goal = None if target is None else sign * float(target)
 
     def met():
-        return goal is not None and best_f >= goal - 1e-12 * abs(goal)
+        return goal is not None and meets(best_f, goal)
 
     flags = []
     for r in range(budget.restarts):
@@ -326,7 +334,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         if val > best_f:
             best_f, best_x, winner = val, x, r
 
-    if homogeneous and domain.to_boundary is not None and best_x is not None:
+    if domain.to_boundary is not None and best_x is not None:
         xb = domain.to_boundary(best_x)
         if np.all(np.isfinite(xb)) and domain.membership(xb):
             vb = float(_score(f, xb[None])[0])
@@ -348,8 +356,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
 
 
 def maximize_over_ball(objective, domain: Ball, budget: OptBudget | None = None,
-                       seeds=None, homogeneous: bool = False,
-                       target: float | None = None) -> Witnessed:
+                       seeds=None, target: float | None = None) -> Witnessed:
     """Witnessed lower bound of sup { objective(x) : x in domain }.
 
     The witness is feasible by construction, so the reported value is sound.
@@ -358,8 +365,7 @@ def maximize_over_ball(objective, domain: Ball, budget: OptBudget | None = None,
     silently dropped.  target is a certified upper bound of the sup; the
     search stops at it, and a value that meets it is "exact".
     """
-    x, val, conv, det = _run(objective, domain, budget, seeds, sign=1.0,
-                             homogeneous=homogeneous, target=target)
+    x, val, conv, det = _run(objective, domain, budget, seeds, sign=1.0, target=target)
     return Witnessed(value=val, witness=x,
                      bound_direction="exact" if "stop" in det else "lower-of-sup",
                      converged=conv, details=det,
@@ -374,8 +380,7 @@ def minimize_over_family(objective, domain: Ball, budget: OptBudget | None = Non
     the witness is a sound upper bound.  target is a certified lower bound of
     the inf; the search stops at it, and a value that meets it is "exact".
     """
-    x, val, conv, det = _run(objective, domain, budget, seeds, sign=-1.0,
-                             homogeneous=False, target=target)
+    x, val, conv, det = _run(objective, domain, budget, seeds, sign=-1.0, target=target)
     return Witnessed(value=-val, witness=x,
                      bound_direction="exact" if "stop" in det else "upper-of-inf",
                      converged=conv, details=det,

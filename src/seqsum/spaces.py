@@ -721,8 +721,7 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
         return np.abs(alphas * beta).sum(axis=-1)
 
     seeds = [ball.project(s) for s in _pairing_seeds(spec, beta)]
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True)
+    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds)
 
 
 # ---------------------------------------------------------------------------

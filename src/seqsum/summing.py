@@ -6,11 +6,12 @@ normalizer is a certified over-estimate of the true constraint norm (weak
 gets its operator-norm upper bound, mid gets the strong norm), so each witness
 is genuinely feasible and each value is at most the constant.  Against the
 strong norm the supremum is ||T|| by normality, so the mid constant needs no
-search.  The weak-handled ones are searched from singular directions,
-canonical bases and rank-one compositions, and stop at _summing_upper, a
-closed-form upper bound of both: there they are "exact", which covers the
-Hilbert-Schmidt case (lp(2) on l2^d -> l2^e, with n >= d and, for w^mid,
-m >= e).
+search: operator_norm certifies a norming point against the closed forms of
+vector_norms.operator_norm_upper.  The weak-handled ones are searched from
+singular directions, canonical bases and rank-one compositions, and stop at
+_summing_upper, a closed-form upper bound of both: there they are "exact",
+which covers the Hilbert-Schmidt case (lp(2) on l2^d -> l2^e, with n >= d
+and, for w^mid, m >= e).
 """
 
 from __future__ import annotations
@@ -92,76 +93,58 @@ def rank_one_operator(domain: NormOracle, codomain: NormOracle,
 
 
 def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witnessed:
-    """Operator norm, exact for the built-in formula cases.
+    """Operator norm, exact where a norming point meets operator_norm_upper.
 
-    Exact branches: domain l1 (column maximum, any codomain), domain linf
-    (sign-vector enumeration, any codomain), codomain linf (the largest dual
-    norm of a row, any domain, with the duality map of that row as witness),
-    and domain l2 paired with codomain l1 or l2.  Anything else falls back to
-    witnessed ascent over the domain ball, which stops at
-    operator_norm_upper_matrix: it is "exact" when a witness meets that
-    bound, and lower-of-sup otherwise.
+    The points are those where the bound's closed forms are attained: the
+    top right singular vector, the basis, the sign vectors of an linf
+    domain, and the duality maps of the rows into linf or of the signed row
+    sums into l1.  The first one that meets the bound is the "exact"
+    witness.  Otherwise a search over the domain ball, seeded with the
+    singular vector, the basis and the best other point, stops at the
+    bound, "exact" if it meets it and lower-of-sup if not.  Either result
+    carries the bound as certified_bound.
     """
     M = T.entries
     e, d = M.shape
     dom_p, cod = T.domain.p, T.codomain
-    if not np.any(M):
-        return Witnessed(value=0.0, witness=np.zeros(d), bound_direction="exact",
-                         converged=True)
-    if dom_p == 1.0:
-        vals = vn.row_lengths(cod, M.T)
-        j = int(np.argmax(vals))
-        w = np.zeros(d)
-        w[j] = 1.0
-        return Witnessed(value=float(vals[j]), witness=w, bound_direction="exact",
-                         converged=True)
+    pts = []
+    try:
+        pts.append(np.linalg.svd(M)[2][:1])
+    except np.linalg.LinAlgError:
+        pass
+    pts.append(np.eye(d))
+    n_seeds = sum(len(P) for P in pts)
     if math.isinf(dom_p) and d <= vn._SIGN_ENUM_LIMIT:
-        S = vn._sign_vectors(d)
-        vals = vn.row_lengths(cod, S @ M.T)
-        i = int(np.argmax(vals))
-        return Witnessed(value=float(vals[i]), witness=S[i], bound_direction="exact",
-                         converged=True)
+        pts.append(vn._sign_vectors(d))
     if math.isinf(cod.p):
-        # |(Mx)_i| <= |row_i|_dom* |x|_dom, with equality at the duality map
-        rows = vn.row_lengths(T.domain.flip(), M)
-        i = int(np.argmax(rows))
-        x = vn._duality_maps(dom_p, M[i:i + 1])[0]
-        return Witnessed(value=float(rows[i]), witness=x, bound_direction="exact",
-                         converged=True)
-    if dom_p == 2.0 and cod.p in (1.0, 2.0):
-        if cod.p == 2.0:
-            U, s, Vt = np.linalg.svd(M)
-            return Witnessed(value=float(s[0]), witness=Vt[0],
-                             bound_direction="exact", converged=True)
-        # the l2 lengths go through the scale-safe row_lengths kernel
-        if e <= vn._SIGN_ENUM_LIMIT:  # cod l1
-            S = vn._sign_vectors(e)
-            imgs = S @ M
-            vals = vn.row_lengths(T.domain, imgs)
-            i = int(np.argmax(vals))
-            return Witnessed(value=float(vals[i]), witness=imgs[i] / vals[i],
-                             bound_direction="exact", converged=True)
+        pts.append(vn._duality_maps(dom_p, M))
+    if cod.p == 1.0 and e <= vn._SIGN_ENUM_LIMIT:
+        pts.append(vn._duality_maps(dom_p, vn._sign_vectors(e) @ M))
+    ball = T.domain.ball()
 
     def objective(X):
         return vn.row_lengths(cod, X @ M.T)
 
-    seeds = []
-    try:
-        _, _, Vt = np.linalg.svd(M)
-        seeds.append(Vt[0])
-    except np.linalg.LinAlgError:
-        pass
-    seeds.extend(np.eye(d))
-    ball = T.domain.ball()
-    seeds = [ball.project(s) for s in seeds]
+    P = ball.project(np.concatenate(pts))
+    vals = objective(P)
+    bound = operator_norm_upper_matrix(T)
+    hit = np.flatnonzero(optim.meets(vals, bound))
+    if hit.size:
+        i = int(hit[0])
+        return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
+                         converged=True, certified_bound=bound)
+    seeds = list(P[:n_seeds])
+    best = int(np.argmax(vals))
+    if best >= n_seeds:
+        # a second copy of a seed would only take a random restart's place
+        seeds.append(P[best])
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True, target=operator_norm_upper_matrix(T))
+                                    target=bound)
 
 
 def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
     """Certified upper bound of the operator norm between lp oracles."""
-    val, _ = vn.operator_norm_upper(T.entries, T.domain, spaces.lp(T.codomain.p))
-    return val
+    return vn.operator_norm_upper(T.entries, T.domain, spaces.lp(T.codomain.p))
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +233,7 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
         return _image_strong(spec, T, flat, n)
 
     res = optim.maximize_over_ball(objective, ball, budget=budget,
-                                   seeds=_sequence_seeds(T, n, ball), homogeneous=True,
+                                   seeds=_sequence_seeds(T, n, ball),
                                    target=_summing_upper(spec, T))
     res.details["n"] = n
     res.details["normalizer"] = "weak-upper"
@@ -321,7 +304,7 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     seeds = [np.concatenate([op_ball.project(S.ravel()), xs_seed])
              for S in ops for xs_seed in _sequence_seeds(T, n, xs_ball)]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
-                                   homogeneous=False, target=_summing_upper(spec, T))
+                                   target=_summing_upper(spec, T))
     res.details["n"] = n
     res.details["truncation"] = m
     res.details["split"] = m * e

@@ -189,7 +189,7 @@ def _projective_lower(u: Tensor) -> float:
         cands.append(vn._duality_maps(u.domain.flip().p, E.T).T)
     best = 0.0
     for T in cands:
-        norm, _ = vn.operator_norm_upper(T, u.codomain, spaces.lp(u.domain.flip().p))
+        norm = vn.operator_norm_upper(T, u.codomain, spaces.lp(u.domain.flip().p))
         best = max(best, abs(float(np.sum(T * E))) / norm)
     return best
 

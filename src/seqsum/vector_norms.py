@@ -51,8 +51,8 @@ _SIGN_ENUM_LIMIT = 12
 class NormOracle:
     """The finite-dimensional space l_p^dim, with its unit ball and dual ball.
 
-    p selects the exact operator-norm formulas of operator_norm_upper; an
-    oracle without one is rejected.
+    p is the exponent that operator_norm_upper's closed forms read; anything
+    but p >= 1 or inf is rejected.
     """
 
     dim: int
@@ -96,9 +96,18 @@ def row_lengths(oracle: NormOracle, M) -> np.ndarray:
 
 def _duality_maps(p: float, V) -> np.ndarray:
     """Row j lies in the unit ball of l_p and pairs with row j of V to that
-    row's norm in the conjugate space: the duality map of the row."""
-    spec = spaces.lp(p)
-    return np.array([np.sign(v) * spaces.dual_norm(spec, v).witness for v in V])
+    row's norm in the conjugate space l_q: sign(v) (|v| / |v|_q)^(q - 1),
+    which is sign(v) at p = inf, a signed unit vector at the largest modulus
+    at p = 1, and zero for a zero row."""
+    V = np.asarray(V, dtype=float)
+    A = np.abs(V)
+    if math.isinf(p):
+        return np.sign(V)
+    if p == 1.0:
+        return np.sign(V) * (np.arange(V.shape[-1]) == A.argmax(axis=-1)[..., None])
+    q = spaces.conjugate_exponent(p)
+    norms = spaces._pnorm(A, q)[..., None]
+    return np.sign(V) * (A / np.where(norms > 0.0, norms, 1.0)) ** (q - 1.0)
 
 
 def oracle_from_label(label: str) -> NormOracle:
@@ -160,72 +169,68 @@ def _sign_vectors(k: int) -> np.ndarray:
 def _l2_to_lp_upper(M: np.ndarray, r: float):
     sv = np.linalg.svd(M, compute_uv=False)[..., 0]
     if r == 2.0:
-        return sv, "exact"
+        return sv
     if r > 2.0:
         row2 = spaces._pnorm(np.abs(M), 2.0).max(axis=-1)
         if math.isinf(r):
-            return row2, "exact"
+            return row2
         # pointwise |y|_r <= |y|_2^(2/r) |y|_inf^(1-2/r)
         t = 2.0 / r
-        return sv**t * row2 ** (1.0 - t), "certified"
+        return sv**t * row2 ** (1.0 - t)
     m = M.shape[-2]
     if m <= _SIGN_ENUM_LIMIT:
-        S = _sign_vectors(m)
-        to_one, grade = spaces._pnorm(np.abs(S @ M), 2.0).max(axis=-1), "exact"
+        to_one = spaces._pnorm(np.abs(_sign_vectors(m) @ M), 2.0).max(axis=-1)
     else:
-        to_one, grade = math.sqrt(m) * sv, "certified"
+        to_one = math.sqrt(m) * sv
     if r == 1.0:
-        return to_one, grade
+        return to_one
     # 1 < r < 2: |y|_r <= |y|_1^th |y|_2^(1-th), th = 2/r - 1
     th = 2.0 / r - 1.0
-    return to_one**th * sv ** (1.0 - th), "certified"
+    return to_one**th * sv ** (1.0 - th)
 
 
 def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
-    """Upper bound for the norm of x -> Mx from dom into the scalar space.
+    """Certified upper bound for the norm of x -> Mx from dom into the
+    scalar space: the one table of operator-norm closed forms.
 
     M is one matrix or a stack of them along leading axes; the value is a
-    float or an array of the stack's shape.  Returns (value, grade) with
-    grade "exact" (the bound is the norm, for every matrix of a stack) or
-    "certified" (a true upper bound, possibly loose).  It is the smaller of
-    dom's formula and the normality bound, which is exact for one nonzero row
-    and, into linf or c0, for every matrix.
+    float or an array of the stack's shape.  It is the smaller of dom's
+    formula and the normality bound, the scalar norm of the rows' dual
+    lengths.  It is the norm itself from l1 (the largest column), from linf
+    (sign enumeration), on l2 into l1 or l2, and into linf or c0 (the
+    normality bound); elsewhere it interpolates through l2 and linf.
+    summing.operator_norm certifies a norming point against it.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2:
         M = np.atleast_2d(M)
     one = M.ndim == 2
     if M.size == 0 or not np.any(M):
-        return (0.0 if one else np.zeros(M.shape[:-2])), "exact"
+        return 0.0 if one else np.zeros(M.shape[:-2])
     d = M.shape[-1]
     p = dom.p
     if p == 1.0:
-        val, grade = evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1), "exact"
+        val = evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
     elif math.isinf(p):
         if d <= _SIGN_ENUM_LIMIT:
             # column s of M S^T is M s, one image per sign vector
             imgs = np.swapaxes(M @ _sign_vectors(d).T, -1, -2)
-            val, grade = evaluate_norms(cod, imgs).max(axis=-1), "exact"
+            val = evaluate_norms(cod, imgs).max(axis=-1)
         else:
-            cols = evaluate_norms(cod, np.swapaxes(M, -1, -2))
-            val, grade = d * cols.max(axis=-1), "certified"
+            val = d * evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
     elif p == 2.0 and cod.family in ("lp", "c0"):
-        val, grade = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
+        val = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
     elif p == 2.0:
-        val, grade = math.inf, "certified"
+        val = math.inf
     else:
         # route through l2 or linf, whichever embedding constant is smaller
-        via2, _ = operator_norm_upper(M, lp_oracle(2.0, d), cod)
         c2 = 1.0 if p <= 2.0 else d ** (0.5 - 1.0 / p)
-        viainf, _ = operator_norm_upper(M, lp_oracle(math.inf, d), cod)
-        val, grade = np.minimum(c2 * via2, viainf), "certified"
+        val = np.minimum(c2 * operator_norm_upper(M, lp_oracle(2.0, d), cod),
+                         operator_norm_upper(M, lp_oracle(math.inf, d), cod))
     # normality: |(Mx)_i| <= |row_i|_dom* |x|_dom
     rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
     val = np.minimum(val, evaluate_norms(cod, rows))
-    into_sup = cod.family == "c0" or (cod.family == "lp" and math.isinf(cod.p))
-    if grade != "exact" and (into_sup or np.all(np.count_nonzero(rows, axis=-1) <= 1)):
-        grade = "exact"
-    return (float(val) if one else val), grade
+    return float(val) if one else val
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +249,11 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _weak_seeds(xs: VectorSequence, ball: Ball) -> list[np.ndarray]:
-    A = xs.vectors
+def _weak_seeds(A: np.ndarray, over: NormOracle, ball: Ball) -> list[np.ndarray]:
     n, d = A.shape
     seeds = [np.eye(d)[i] for i in range(d)]
-    if xs.oracle.p == 1.0 and d <= _SIGN_ENUM_LIMIT:
-        # the dual ball is the cube, and a convex function peaks at a vertex
+    if math.isinf(over.p) and d <= _SIGN_ENUM_LIMIT:
+        # the ball is the cube, and a convex function peaks at a vertex
         seeds.extend(_sign_vectors(d))
     for v in A:
         if np.any(v):
@@ -268,6 +272,19 @@ def _weak_seeds(xs: VectorSequence, ball: Ball) -> list[np.ndarray]:
     return [ball.project(s) for s in seeds]
 
 
+def _weak_search(spec: SpaceSpec, A: np.ndarray, over: NormOracle, ball: Ball,
+                 budget: OptBudget | None) -> Witnessed:
+    """sup of the scalar norm of (f(a_1), ..., f(a_n)) over ball, the unit
+    ball of over; it stops at the norm bound of f -> (f(a_n))_n on over."""
+
+    def objective(F):
+        return evaluate_norms(spec, (A @ F[..., None])[..., 0])
+
+    return optim.maximize_over_ball(objective, ball, budget=budget,
+                                    seeds=_weak_seeds(A, over, ball),
+                                    target=operator_norm_upper(A, over, spec))
+
+
 def weak_norm(spec: SpaceSpec, xs: VectorSequence,
               budget: OptBudget | None = None) -> Witnessed:
     """sup over the dual ball of the scalar norm of (f(x_1), ..., f(x_n)).
@@ -275,15 +292,7 @@ def weak_norm(spec: SpaceSpec, xs: VectorSequence,
     Witness is the functional f, reported as its coefficient vector.  The
     search stops at weak_norm_upper, which the result carries.
     """
-    A = xs.vectors
-    ball = xs.oracle.dual_ball()
-
-    def objective(F):
-        return evaluate_norms(spec, (A @ F[..., None])[..., 0])
-
-    seeds = _weak_seeds(xs, ball)
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    homogeneous=True, target=weak_norm_upper(spec, xs))
+    return _weak_search(spec, xs.vectors, xs.oracle.flip(), xs.oracle.dual_ball(), budget)
 
 
 def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
@@ -293,7 +302,7 @@ def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
     the dual space; its operator norm bounds the weak norm.  The normality
     bound of that map is the strong norm.
     """
-    return operator_norm_upper(xs.vectors, xs.oracle.flip(), spec)[0]
+    return operator_norm_upper(xs.vectors, xs.oracle.flip(), spec)
 
 
 def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
@@ -301,17 +310,17 @@ def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
     """sup over the primal ball of the scalar norm of (f_1(x), ..., f_n(x)).
 
     fs holds the functionals' coefficient rows, interpreted in the dual of
-    its oracle; the search therefore runs over the primal unit ball.
+    its oracle; the search therefore runs over the primal unit ball, and
+    stops at the bound of the trace map on fs's own oracle.
     """
-    flipped = VectorSequence(oracle=fs.oracle.flip(), vectors=fs.vectors)
-    return weak_norm(spec, flipped, budget=budget)
+    return _weak_search(spec, fs.vectors, fs.oracle, fs.oracle.ball(), budget)
 
 
 def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
     d = dom.dim
 
     def kappa(flat):
-        return operator_norm_upper(flat.reshape(flat.shape[:-1] + (m, d)), dom, cod)[0]
+        return operator_norm_upper(flat.reshape(flat.shape[:-1] + (m, d)), dom, cod)
 
     return optim.gauge_ball(kappa, m * d, f"opball[{dom.label}->{cod.label()}^{m}]")
 
@@ -380,7 +389,7 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     for s in (extra_seeds or []):
         seeds.append(ball.project(np.asarray(s, dtype=float).ravel()))
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                   homogeneous=True, target=strong_norm(spec, xs))
+                                   target=strong_norm(spec, xs))
     res.details["truncation"] = m
     return res
 

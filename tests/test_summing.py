@@ -101,6 +101,45 @@ def test_operator_norm_witnessed_fallback_is_lower_bound():
     assert T.codomain.norm(M @ x) == pytest.approx(res.value, abs=1e-9)
 
 
+_GRID = {"l1": 1.0, "l1.5": 1.5, "l2": 2.0, "l3": 3.0, "linf": math.inf}
+
+
+def _had_closed_form_branch(a, b):
+    """The pairs that operator_norm once answered by a formula of its own."""
+    return a in (1.0, math.inf) or math.isinf(b) or (a == 2.0 and b in (1.0, 2.0))
+
+
+@pytest.mark.parametrize("cod", list(_GRID))
+@pytest.mark.parametrize("dom", list(_GRID))
+def test_operator_norm_is_certified(dom, cod):
+    a, b = _GRID[dom], _GRID[cod]
+    rng = np.random.default_rng([list(_GRID).index(dom), list(_GRID).index(cod)])
+    for e, d in ((1, 4), (2, 2), (3, 2), (2, 3)):
+        M = rng.standard_normal((e, d))
+        zero_row = M.copy()
+        zero_row[0] = 0.0
+        for A in (M, zero_row):
+            T = summing.OperatorMatrix(vn.lp_oracle(a, d), vn.lp_oracle(b, e), A)
+            res = summing.operator_norm(T, budget=LIGHT)
+            x = res.witness
+            assert T.codomain.norm(A @ x) == pytest.approx(res.value, rel=1e-15, abs=0.0)
+            assert T.domain.norm(x) <= 1.0 + 1e-15
+            assert res.value <= res.certified_bound * (1.0 + 1e-12)
+            met = bool(optim.meets(res.value, res.certified_bound))
+            assert (res.bound_direction == "exact") is met
+            if _had_closed_form_branch(a, b) or not np.any(A):
+                assert res.bound_direction == "exact"
+
+
+def test_operator_norm_into_l1_meets_the_dual_row_norm():
+    # one row into l1 is |row|_3 from l1.5; the search stopped 2.4e-6 low
+    # at 1.7295560270067711
+    M = np.random.default_rng(4).standard_normal((1, 4))
+    res = summing.operator_norm(op(M, dom="l1.5:4", cod="l1:1"))
+    assert res.bound_direction == "exact"
+    assert res.value == pytest.approx(1.7295602159614558, rel=1e-15, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # pi_lambda
 

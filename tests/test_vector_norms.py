@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import oracles as oc
-from seqsum import spaces, vector_norms as vn
+from seqsum import spaces, summing, vector_norms as vn
 from seqsum.optim import OptBudget
 from seqsum.spaces import SpecValidationError, WeightSeq
 
@@ -202,6 +202,16 @@ def test_weak_star_agrees_with_weak_over_dual():
         assert ws.value == pytest.approx(w.value, rel=5e-2)
 
 
+def test_weak_star_bound_is_on_the_oracle_itself():
+    # flipping the exponent twice lands on a neighbouring l_p: the bound was
+    # 1.9606231899436348 when the search ran over the dual of the dual
+    fs = vn.VectorSequence(vn.lp_oracle(2.8310000000000004, 3),
+                           np.random.default_rng(1).standard_normal((2, 3)))
+    res = vn.weak_star_norm(spaces.lp(3), fs, budget=LIGHT)
+    want = vn.operator_norm_upper(fs.vectors, fs.oracle, spaces.lp(3))
+    assert res.certified_bound == want == 1.9606231899436344
+
+
 # ---------------------------------------------------------------------------
 # mid norm
 
@@ -366,15 +376,24 @@ def test_profile_requires_perfect_family():
 # operator norm upper bounds stay certified
 
 
+def _assert_attained(M, dom, cod, want):
+    """summing.operator_norm reaches want on M from dom into lp oracle cod,
+    through a witness: the norm is known there, not just bounded."""
+    T = summing.OperatorMatrix(dom, vn.lp_oracle(cod.p, M.shape[0]), M)
+    res = summing.operator_norm(T, budget=LIGHT)
+    assert res.bound_direction == "exact"
+    assert res.value == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
 def test_operator_norm_upper_exact_branches():
     rng = np.random.default_rng(37)
     M = rng.standard_normal((3, 3))
-    v, grade = vn.operator_norm_upper(M, vn.lp_oracle(1, 3), spaces.lp(2))
-    assert grade == "exact"
+    v = vn.operator_norm_upper(M, vn.lp_oracle(1, 3), spaces.lp(2))
     assert v == pytest.approx(max(np.linalg.norm(M[:, j]) for j in range(3)))
-    v2, grade2 = vn.operator_norm_upper(M, vn.lp_oracle(2, 3), spaces.lp(2))
-    assert grade2 == "exact"
+    _assert_attained(M, vn.lp_oracle(1, 3), spaces.lp(2), v)
+    v2 = vn.operator_norm_upper(M, vn.lp_oracle(2, 3), spaces.lp(2))
     assert v2 == pytest.approx(oc.top_singular_value_oracle(M), rel=1e-9)
+    _assert_attained(M, vn.lp_oracle(2, 3), spaces.lp(2), v2)
 
 
 @pytest.mark.parametrize("cod", [spaces.lp(1), spaces.lp(3), spaces.lp(math.inf),
@@ -384,10 +403,13 @@ def test_operator_norm_upper_exact_branches():
 def test_operator_norm_upper_from_l2_is_scale_safe(cod, scale):
     # the l2 row norms neither overflow to inf nor underflow to 0
     for M in (np.eye(2), np.array([[2.0, 1.0], [0.5, -1.0]])):
-        want, want_grade = vn.operator_norm_upper(M, vn.lp_oracle(2, 2), cod)
-        got, grade = vn.operator_norm_upper(scale * M, vn.lp_oracle(2, 2), cod)
-        assert grade == want_grade
+        want = vn.operator_norm_upper(M, vn.lp_oracle(2, 2), cod)
+        got = vn.operator_norm_upper(scale * M, vn.lp_oracle(2, 2), cod)
         assert got == pytest.approx(scale * want, rel=1e-14, abs=0.0)
+        if cod.family == "lp" and cod.p in (1.0, math.inf):
+            # l2 into l1 and linf: the bound is the norm, at either scale
+            _assert_attained(M, vn.lp_oracle(2, 2), cod, want)
+            _assert_attained(scale * M, vn.lp_oracle(2, 2), cod, got)
 
 
 @pytest.mark.parametrize("cod", [
@@ -405,11 +427,11 @@ def test_operator_norm_upper_within_normality_bound(cod, p):
     def normality(M):
         return spaces.evaluate_norm(cod, np.array([np.linalg.norm(r, q) for r in M]))
 
-    vals, _ = vn.operator_norm_upper(stack, dom, cod)
+    vals = vn.operator_norm_upper(stack, dom, cod)
     for M, v in zip(stack, vals):
         bound = normality(M)
         assert v <= bound * (1 + 1e-12)
-        single, _ = vn.operator_norm_upper(M, dom, cod)
+        single = vn.operator_norm_upper(M, dom, cod)
         assert single <= bound * (1 + 1e-12)
 
 
@@ -418,11 +440,26 @@ def test_operator_norm_upper_one_row_is_exact(stacked):
     # from l3 the formula is an interpolation bound; with one nonzero row the
     # normality bound is the norm
     M = np.array([[0.0, 0.0, 0.0], [1.0, -2.0, 0.5]])
-    v, grade = vn.operator_norm_upper(np.stack([M, 3.0 * M]) if stacked else M,
-                                      vn.lp_oracle(3, 3), spaces.lp(3))
-    assert grade == "exact"
+    v = vn.operator_norm_upper(np.stack([M, 3.0 * M]) if stacked else M,
+                               vn.lp_oracle(3, 3), spaces.lp(3))
     want = np.linalg.norm(M[1], 1.5)
     assert v == pytest.approx([want, 3.0 * want] if stacked else want, rel=1e-14)
+    for A, got in zip((M, 3.0 * M), np.atleast_1d(v)):
+        _assert_attained(A, vn.lp_oracle(3, 3), spaces.lp(3), got)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
+def test_duality_maps_norm_each_row(p, scale):
+    q = spaces.conjugate_exponent(p)
+    V = scale * np.random.default_rng(41).standard_normal((6, 3))
+    V[2] = 0.0
+    X = vn._duality_maps(p, V)
+    assert not np.any(X[2])
+    for x, v in zip(X, V):
+        assert vn.row_lengths(vn.lp_oracle(p, 3), x) <= 1.0 + 1e-15
+        want = vn.row_lengths(vn.lp_oracle(q, 3), v)
+        assert float(x @ v) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_operator_norm_upper_interpolated_is_upper():
@@ -431,8 +468,7 @@ def test_operator_norm_upper_interpolated_is_upper():
         cod = vn.lp_oracle(r, 2)
         for _ in range(6):
             M = rng.standard_normal((2, 2))
-            v, grade = vn.operator_norm_upper(M, vn.lp_oracle(2, 2), spaces.lp(r))
-            assert grade in ("exact", "certified")
+            v = vn.operator_norm_upper(M, vn.lp_oracle(2, 2), spaces.lp(r))
             # compare with a dense direction scan of the true norm
             true = 0.0
             for k in range(720):
