@@ -540,8 +540,9 @@ def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
 def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     """Norm of each sequence along the last axis of X, one per leading index.
 
-    The lp, c0, rearrangement and Sargent families are computed for the
-    whole stack at once; Orlicz and Garling nu go row by row.  Each row's
+    The lp, c0, rearrangement and Sargent families, and the Orlicz gauge of
+    a power, which is the lp norm, are computed for the whole stack at once;
+    other Orlicz gauges and Garling nu go row by row.  Each row's
     value does not depend on the other rows.
     """
     A = np.abs(np.asarray(X, dtype=float))
@@ -557,7 +558,11 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     if fam == "c0":
         return A.max(axis=-1)
     if fam == "orlicz":
-        vals = [_luxemburg(r, spec.orlicz) for r in A.reshape(-1, n)]
+        M = spec.orlicz
+        if isinstance(M, OrliczFunction) and M.kind == "power":
+            # sum_j (a_j / k)^p <= 1 exactly when k >= |a|_p
+            return _pnorm(A, M.p)
+        vals = [_luxemburg(r, M) for r in A.reshape(-1, n)]
         return np.array(vals, dtype=float).reshape(A.shape[:-1])
     # trailing zeros of the rearrangement add nothing to any of these forms
     ahat = -np.sort(-A, axis=-1)
@@ -578,7 +583,8 @@ def evaluate_norm(spec: SpaceSpec, coeffs) -> float:
     """Norm of a finite sequence in the given space; the one-row evaluate_norms.
 
     No family runs a search: Garling nu has the closed form of the level
-    function, and the Orlicz gauge is bisected to 4e-13 relative.
+    function, and an Orlicz gauge other than a power's is bisected to 4e-13
+    relative.
     """
     return float(evaluate_norms(spec, _sequence(coeffs)[None])[0])
 

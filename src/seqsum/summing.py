@@ -6,18 +6,19 @@ normalizer is a certified over-estimate of the true constraint norm (weak
 gets its operator-norm upper bound, mid gets the strong norm), so each witness
 is genuinely feasible and each value is at most the constant.  Against the
 strong norm the supremum is ||T|| by normality, so the mid constant needs no
-search: operator_norm certifies a norming point against the closed forms of
-vector_norms.operator_norm_upper.  The weak-handled ones are searched from
-singular directions, canonical bases and rank-one compositions, and stop at
-_summing_upper, a closed-form upper bound of both: there they are "exact",
-which covers the Hilbert-Schmidt case (lp(2) on l2^d -> l2^e, with n >= d
-and, for w^mid, m >= e).
+search: pi_lambda_mid is operator_norm, with its label and certified bound.
+Its witness is a single vector, on which weak, mid and strong norms agree,
+so the ideal check compares strong norms and runs no search either.  The
+weak-handled ones are searched from singular directions, canonical bases
+and rank-one compositions, and stop at _summing_upper, a closed-form upper
+bound of both: there they are "exact", which covers the Hilbert-Schmidt
+case (lp(2) on l2^d -> l2^e, with n >= d and, for w^mid, m >= e).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -232,12 +233,9 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
     def objective(flat):
         return _image_strong(spec, T, flat, n)
 
-    res = optim.maximize_over_ball(objective, ball, budget=budget,
-                                   seeds=_sequence_seeds(T, n, ball),
-                                   target=_summing_upper(spec, T))
-    res.details["n"] = n
-    res.details["normalizer"] = "weak-upper"
-    return res
+    return optim.maximize_over_ball(objective, ball, budget=budget,
+                                    seeds=_sequence_seeds(T, n, ball),
+                                    target=_summing_upper(spec, T))
 
 
 def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
@@ -246,17 +244,17 @@ def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
 
     The strong norm dominates the mid norm, so the value is a sound lower
     bound.  By normality ||(T x_i)||_s <= ||T|| ||(x_i)||_s, with equality at
-    a single vector, so the sup is operator_norm(T): its value and converged,
-    and its witness as the first of n rows, scaled into the strong unit ball.
-    m is unused; it stays only for callers that still pass it.
+    a single vector, so the sup is operator_norm(T): its value, label,
+    converged and certified_bound, with its witness as the first of n rows,
+    scaled into the strong unit ball.  m is unused; it stays only for
+    callers that still pass it.
     """
     if n < 1:
         raise ValueError("sequence length n must be >= 1")
     op = operator_norm(T, budget=budget)
     X = np.zeros((n, T.domain.dim))
     X[0] = op.witness / spaces.unit_vector_norm(spec, 1)
-    return Witnessed(value=op.value, witness=X.ravel(), bound_direction="lower-of-sup",
-                     converged=op.converged, details={"n": n, "normalizer": "strong"})
+    return replace(op, witness=X.ravel())
 
 
 def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
@@ -301,13 +299,12 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     ops = [S0]
     if m >= e:
         ops.append(np.eye(m, e))
+    xs_seeds = _sequence_seeds(T, n, xs_ball)
     seeds = [np.concatenate([op_ball.project(S.ravel()), xs_seed])
-             for S in ops for xs_seed in _sequence_seeds(T, n, xs_ball)]
+             for S in ops for xs_seed in xs_seeds]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
                                    target=_summing_upper(spec, T))
-    res.details["n"] = n
     res.details["truncation"] = m
-    res.details["split"] = m * e
     return res
 
 
@@ -331,8 +328,8 @@ def strong_mid_witness_check(spec: SpaceSpec, T: OperatorMatrix,
     sequence; the inequality holds by construction of the normalizer and is
     recomputed here from scratch.
     """
-    n = result.details.get("n")
     flat = result.witness
+    n = flat.size // T.domain.dim
     lhs = float(_image_strong(spec, T, flat, n))
     handle = vn.strong_norm(spec, VectorSequence(T.domain,
                                                  flat.reshape(n, T.domain.dim)))
@@ -344,13 +341,11 @@ def strong_mid_witness_check(spec: SpaceSpec, T: OperatorMatrix,
 def mid_weak_witness_check(spec: SpaceSpec, T: OperatorMatrix,
                        result: Witnessed) -> WitnessCheck:
     """Composed image norm against value times the weak handle of the witness."""
-    n = result.details.get("n")
     m = result.details.get("truncation")
-    split = result.details.get("split")
     flat = result.witness
     e, d = T.entries.shape
-    S = flat[:split].reshape(m, e)
-    X = flat[split:].reshape(n, d)
+    S = flat[:m * e].reshape(m, e)
+    X = flat[m * e:].reshape(-1, d)
     imgs = X @ T.entries.T @ S.T
     lhs = float(evaluate_norms(spec, evaluate_norms(spec, imgs)))
     handle = vn.weak_norm_upper(spec, VectorSequence(T.domain, X))
@@ -369,16 +364,19 @@ class IdealReport:
 
 
 def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
-                        S: OperatorMatrix, n: int = 3, m: int = 3,
+                        S: OperatorMatrix, n: int = 3,
                         budget: OptBudget | None = None) -> IdealReport:
     """Witness-sound form of the two-sided composition inequality.
 
     Takes the mid-summing witness xs of the composition R T S, then checks
     at it: (a) the outer factor peels off through the operator-norm upper
-    bound of R; (b) the inner factor: the witness's own image mid value
-    under S, searched at truncation m, is dominated by the upper bound of S
-    times the mid value of xs when the latter search is seeded with the
-    composed operator witness.
+    bound of R; (b) the inner factor: the image mid norm of xs under S is at
+    most the upper bound of S times the mid norm of xs.  The witness has one
+    nonzero row x, and for such a sequence weak = mid = strong = c |x| for
+    every normal lambda and truncation, with c the norm of the first unit
+    vector: every feasible operator contracts, and e_1 (x) f / c, with f
+    norming x, is feasible and attains it.  So (b) compares strong norms,
+    in closed form.
     """
     if R.domain.dim != T.codomain.dim or T.domain.dim != S.codomain.dim:
         raise ValueError("operators do not compose")
@@ -386,9 +384,7 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
                           entries=R.entries @ T.entries @ S.entries)
     TS = OperatorMatrix(domain=S.domain, codomain=T.codomain,
                         entries=T.entries @ S.entries)
-    res = pi_lambda_mid(spec, comp, n=n, budget=budget)
-    flat = res.witness
-    X = flat.reshape(n, S.domain.dim)
+    flat = pi_lambda_mid(spec, comp, n=n, budget=budget).witness
 
     lhs_a = float(_image_strong(spec, comp, flat, n))
     r_up = operator_norm_upper_matrix(R)
@@ -396,17 +392,9 @@ def ideal_witness_check(spec: SpaceSpec, R: OperatorMatrix, T: OperatorMatrix,
     left = WitnessCheck(lhs=lhs_a, rhs=rhs_a, ok=not optim.exceeds(lhs_a, rhs_a),
                         label="outer-factor")
 
-    s_up = operator_norm_upper_matrix(S)
-    inner_budget = budget or OptBudget(restarts=2, iterations=80, seed=55)
-    imgs = VectorSequence(S.codomain, X @ S.entries.T)
-    inner = vn.mid_norm(spec, imgs, m=m, budget=inner_budget)
-    V = inner.witness.reshape(m, S.codomain.dim)
-    seeded = vn.mid_norm(spec, VectorSequence(S.domain, X), m=m,
-                         budget=inner_budget,
-                         extra_seeds=[(V @ S.entries) / s_up if s_up > 0
-                                      else V @ S.entries])
-    lhs_b = inner.value
-    rhs_b = s_up * seeded.value
+    lhs_b = float(_image_strong(spec, S, flat, n))
+    rhs_b = operator_norm_upper_matrix(S) * vn.strong_norm(
+        spec, VectorSequence(S.domain, flat.reshape(n, S.domain.dim)))
     right = WitnessCheck(lhs=lhs_b, rhs=rhs_b, ok=not optim.exceeds(lhs_b, rhs_b),
                          label="inner-factor")
     return IdealReport(left=left, right=right)

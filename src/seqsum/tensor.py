@@ -208,7 +208,7 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
     E = u.entries
     if not np.any(E):
         return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
-                         converged=True, details={"rank": 0}, certified_bound=0.0)
+                         converged=True, certified_bound=0.0)
     r = r if r is not None else min(E.shape)
     X0, Y0 = _base_factors(E, r)
 
@@ -225,7 +225,6 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
         (VectorSequence(u.domain, mixed[0]), VectorSequence(u.codomain, mixed[1])),
     ))
     _require_reconstructs(rep, u)
-    res.details["rank"] = r
     res.details["representation"] = rep
     return res
 
@@ -248,7 +247,7 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
     d, e = E.shape
     if not np.any(E):
         return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
-                         converged=True, details={"blocks": 0}, certified_bound=0.0)
+                         converged=True, certified_bound=0.0)
     if blocks < 1:
         raise ValueError("need at least one block")
     r = r if r is not None else min(d, e)
@@ -285,9 +284,7 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
         for X, Y in pieces
     ))
     _require_reconstructs(rep, u)
-    res.details["blocks"] = len(rep.blocks)
     res.details["representation"] = rep
-    res.details["single_block_value"] = single_block.value
     return res
 
 

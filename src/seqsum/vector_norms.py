@@ -49,7 +49,7 @@ _SIGN_ENUM_LIMIT = 12
 
 @dataclass(frozen=True)
 class NormOracle:
-    """The finite-dimensional space l_p^dim, with its unit ball and dual ball.
+    """The finite-dimensional space l_p^dim and its unit ball; flip() is its dual.
 
     p is the exponent that operator_norm_upper's closed forms read; anything
     but p >= 1 or inf is rejected.
@@ -74,12 +74,6 @@ class NormOracle:
 
     def ball(self) -> Ball:
         return optim.gauge_ball(lambda V: row_lengths(self, V), self.dim,
-                                f"ball[{self.label}]")
-
-    def dual_ball(self) -> Ball:
-        # the label stays the primal's, as search records have always shown it
-        dual = self.flip()
-        return optim.gauge_ball(lambda V: row_lengths(dual, V), self.dim,
                                 f"ball[{self.label}]")
 
 
@@ -272,10 +266,11 @@ def _weak_seeds(A: np.ndarray, over: NormOracle, ball: Ball) -> list[np.ndarray]
     return [ball.project(s) for s in seeds]
 
 
-def _weak_search(spec: SpaceSpec, A: np.ndarray, over: NormOracle, ball: Ball,
+def _weak_search(spec: SpaceSpec, A: np.ndarray, over: NormOracle,
                  budget: OptBudget | None) -> Witnessed:
-    """sup of the scalar norm of (f(a_1), ..., f(a_n)) over ball, the unit
-    ball of over; it stops at the norm bound of f -> (f(a_n))_n on over."""
+    """sup of the scalar norm of (f(a_1), ..., f(a_n)) over the unit ball of
+    over; it stops at the norm bound of f -> (f(a_n))_n on over."""
+    ball = over.ball()
 
     def objective(F):
         return evaluate_norms(spec, (A @ F[..., None])[..., 0])
@@ -292,7 +287,7 @@ def weak_norm(spec: SpaceSpec, xs: VectorSequence,
     Witness is the functional f, reported as its coefficient vector.  The
     search stops at weak_norm_upper, which the result carries.
     """
-    return _weak_search(spec, xs.vectors, xs.oracle.flip(), xs.oracle.dual_ball(), budget)
+    return _weak_search(spec, xs.vectors, xs.oracle.flip(), budget)
 
 
 def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
@@ -313,7 +308,7 @@ def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
     its oracle; the search therefore runs over the primal unit ball, and
     stops at the bound of the trace map on fs's own oracle.
     """
-    return _weak_search(spec, fs.vectors, fs.oracle, fs.oracle.ball(), budget)
+    return _weak_search(spec, fs.vectors, fs.oracle, budget)
 
 
 def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
@@ -359,18 +354,19 @@ def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
 
 def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
              budget: OptBudget | None = None,
-             weak_witness: np.ndarray | None = None,
-             extra_seeds=None) -> Witnessed:
+             weak_witness: np.ndarray | None = None) -> Witnessed:
     """sup over the operator ball L(X, scalar space truncated to m coords).
 
     The objective is the strong-type value of the image sequence (Tx_n)_n.
     Always seeded with the rank-one operator pairing the weak witness with the
     first coordinate direction, which pins the value at or above the weak norm
     whenever the first unit vector has scalar norm 1 (the rank-one operator is
-    exactly feasible, so no feasibility deflation can shrink it).  Values are
-    nondecreasing in m when searches are seeded with padded smaller-m
-    witnesses.  Every feasible operator contracts each vector, so the strong
-    norm bounds the value; the search stops there, and the result carries it.
+    exactly feasible, so no feasibility deflation can shrink it).  Every
+    feasible operator contracts each vector, so the strong norm bounds the
+    value; the search stops there, and the result carries it.  With one
+    nonzero vector x, weak, mid and strong all equal c |x| (c the norm of the
+    first unit vector), which summing.ideal_witness_check uses in place of
+    this search.
     """
     if m < 1:
         raise ValueError("truncation length m must be >= 1")
@@ -386,8 +382,6 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
         return evaluate_norms(spec, evaluate_norms(spec, imgs))
 
     seeds = _mid_seeds(spec, xs, m, ball, weak_witness)
-    for s in (extra_seeds or []):
-        seeds.append(ball.project(np.asarray(s, dtype=float).ravel()))
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
                                    target=strong_norm(spec, xs))
     res.details["truncation"] = m

@@ -1,0 +1,57 @@
+"""The summary of tools/bench_pairs.py, on synthetic runs (no benchmark runs)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [("ops_per_s", "higher"), ("latency_p50_s", "lower")]
+
+
+def _run(workload, pair, side, ops, p50, failed=0):
+    metrics = {"ops_per_s": {"value": ops, "unit": "1/s"},
+               "latency_p50_s": {"value": p50, "unit": "s"}}
+    return {"workload": workload, "pair": pair, "side": side,
+            "result": {"correct": failed == 0, "failed": failed, "metrics": metrics}}
+
+
+def test_summary_quartiles_and_pair_wins():
+    parent_ops = [100.0, 110.0, 90.0, 120.0, 105.0]
+    change_ops = [101.0, 109.0, 95.0, 130.0, 105.0]
+    runs = []
+    for i, (a, c) in enumerate(zip(parent_ops, change_ops)):
+        runs += [_run("w", i, "parent", a, 1.0 / a), _run("w", i, "change", c, 1.0 / c)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["ops_per_s"]["parent"] == {"median": 105.0, "q1": 100.0, "q3": 110.0}
+    assert s["ops_per_s"]["change"] == {"median": 105.0, "q1": 101.0, "q3": 109.0}
+    # a tie is not a win; a lower latency is
+    assert s["ops_per_s"]["change_wins"] == 3
+    assert s["latency_p50_s"]["change_wins"] == 3
+    assert s["ops_per_s"]["pairs"] == 5
+    assert s["failed_ops"] == {"parent": 0, "change": 0}
+    assert s["runs_not_correct"] == {"parent": 0, "change": 0}
+
+
+def test_summary_drops_a_pair_with_a_failed_run():
+    runs = [_run("w", 0, "parent", 10.0, 0.1), _run("w", 0, "change", 20.0, 0.05, failed=3),
+            _run("w", 1, "change", 30.0, 0.03),
+            {"workload": "w", "pair": 1, "side": "parent",
+             "result": {"correct": False, "returncode": 1, "stderr": "boom"}},
+            _run("v", 0, "parent", 1.0, 1.0), _run("v", 0, "change", 2.0, 0.5)]
+    out = bench_pairs.summarize(runs, METRICS)
+    assert list(out) == ["w", "v"]
+    assert out["w"]["ops_per_s"]["pairs"] == 1
+    assert out["w"]["ops_per_s"]["change"]["median"] == 20.0
+    assert out["w"]["failed_ops"] == {"parent": 0, "change": 3}
+    assert out["w"]["runs_not_correct"] == {"parent": 1, "change": 1}
+    assert out["v"]["ops_per_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize("pair, first", [(0, "parent"), (1, "change"), (6, "parent")])
+def test_parent_runs_first_in_even_pairs(pair, first):
+    assert bench_pairs.order(pair)[0] == first

@@ -358,7 +358,7 @@ def _space_ball(spec, n=4):
 def _oracle_ball(p, dual):
     o = vn.lp_oracle(p, 3)
     q = spaces.conjugate_exponent(p) if dual else p
-    ball = o.dual_ball() if dual else o.ball()
+    ball = o.flip().ball() if dual else o.ball()
     return ball, lambda v: float(np.linalg.norm(v, ord=q))
 
 

@@ -48,6 +48,17 @@ def test_orlicz_gauge_is_scale_safe(scale):
         spaces.evaluate_norm(spaces.lp(2), x), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_orlicz_power_is_the_lp_norm(p):
+    # sum_j (a_j / k)^p <= 1 exactly when k >= |a|_p
+    X = np.random.default_rng(12).standard_normal((4, 5))
+    X[2] = 0.0
+    for scale in (1e-200, 1.0, 1e200):
+        got = spaces.evaluate_norms(spaces.orlicz(OrliczFunction(kind="power", p=p)),
+                                    X * scale)
+        assert np.array_equal(got, spaces.evaluate_norms(spaces.lp(p), X * scale))
+
+
 def test_lorentz_two_entry_value():
     # frozen from the permutation oracle: max(1*1 + 2*0.5, 2*1 + 1*0.5) = 2.5
     spec = spaces.lorentz(GEOM_HALF, 1.0)
@@ -302,6 +313,23 @@ def test_dual_norm_numeric_agrees_with_analytic():
                                budget=OptBudget(restarts=4, iterations=200))
         assert num.value <= ana.value + 1e-9
         assert num.value == pytest.approx(ana.value, rel=5e-2)
+
+
+@pytest.mark.parametrize("spec", [
+    spaces.sargent_n(SQRT),
+    spaces.sargent_n(WeightSeq(prefix=(1.0,), tail="power:0.7")),
+    spaces.garling_nu(GEOM_HALF, 2.0),
+    spaces.garling_nu(WeightSeq(prefix=(1.0,), tail="power:-0.5"), 1.5),
+], ids=["sargent_n-sqrt", "sargent_n-power", "garling_nu-geometric", "garling_nu-power"])
+def test_analytic_dual_witness_attains_the_value(spec):
+    # the family-sharp pairing seed is feasible and meets the closed form
+    rng = np.random.default_rng(13)
+    for _ in range(200):
+        b = rng.standard_normal(int(rng.integers(1, 9)))
+        res = spaces.dual_norm(spec, b)
+        assert spaces.evaluate_norm(spec, res.witness) <= 1.0 + 1e-12
+        assert float(np.sum(np.abs(res.witness * b))) == pytest.approx(
+            res.value, rel=1e-12, abs=0.0)
 
 
 def test_garling_nu_equals_dual_of_mu():

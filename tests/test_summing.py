@@ -252,7 +252,9 @@ def test_pi_mid_is_the_operator_norm(name, dom, cod):
     res = summing.pi_lambda_mid(spec, T, n=3, budget=LIGHT)
     opn = summing.operator_norm(T, budget=LIGHT)
     assert res.value == opn.value
-    assert res.bound_direction == "lower-of-sup"
+    assert res.bound_direction == opn.bound_direction
+    assert res.certified_bound == opn.certified_bound
+    assert res.converged == opn.converged
     X = res.witness.reshape(3, D.dim)
     assert not np.any(X[1:])
 
@@ -267,6 +269,16 @@ def test_pi_mid_is_the_operator_norm(name, dom, cod):
         for _ in range(200):
             Y = rng.standard_normal((int(rng.integers(1, 5)), D.dim))
             assert strong(Y @ M.T, C) <= res.value * strong(Y, D) * (1.0 + 1e-12)
+
+
+def test_pi_mid_keeps_the_operator_norm_certificate():
+    # operator_norm certifies this T; pi_lambda_mid once relabelled it
+    # lower-of-sup and dropped the bound
+    T = op(np.random.default_rng(0).standard_normal((2, 2)))
+    res = summing.pi_lambda_mid(LP2, T, n=3, budget=LIGHT)
+    assert res.value == 0.6574817120029182
+    assert res.bound_direction == "exact" and res.converged
+    assert res.certified_bound == res.value
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +311,7 @@ def test_w_mid_dominates_pi_of_witness_composition():
         l2 = vn.lp_oracle(2, 2)
         T = summing.OperatorMatrix(l2, l2, rng.standard_normal((2, 2)))
         wm = summing.w_lambda_mid(LP2, T, n=3, m=2, budget=LIGHT)
-        split = wm.details["split"]
-        S0 = wm.witness[:split].reshape(2, 2)
+        S0 = wm.witness[:2 * 2].reshape(2, 2)
         comp = summing.OperatorMatrix(l2, vn.lp_oracle(2, 2), S0 @ T.entries)
         pi_c = summing.pi_lambda(LP2, comp, n=3, budget=LIGHT)
         assert wm.value >= pi_c.value - 1e-6
@@ -417,9 +428,8 @@ def test_witness_checks_are_relative(scale):
     # on l2:1 the unit witness meets each check with equality, so a lowered
     # value breaks it by that much
     T = op([[scale]], dom="l2:1", cod="l2:1")
-    cases = [(summing.strong_mid_witness_check, [1.0], {"n": 1}),
-             (summing.mid_weak_witness_check, [1.0, 1.0],
-              {"n": 1, "truncation": 1, "split": 1})]
+    cases = [(summing.strong_mid_witness_check, [1.0], {}),
+             (summing.mid_weak_witness_check, [1.0, 1.0], {"truncation": 1})]
     for check, witness, details in cases:
         for factor, ok in ((_DRIFT, True), (1.0 - 1e-6, False)):
             res = Witnessed(value=scale * factor, witness=np.array(witness),
@@ -436,7 +446,7 @@ def test_ideal_check_is_relative(monkeypatch, scale):
     for factor, ok in ((_DRIFT, True), (1.0 - 1e-6, False)):
         monkeypatch.setattr(summing, "operator_norm_upper_matrix",
                             lambda M, f=factor: upper(M) * f)
-        rep = summing.ideal_witness_check(LP2, one, one, S, n=1, m=1, budget=LIGHT)
+        rep = summing.ideal_witness_check(LP2, one, one, S, n=1, budget=LIGHT)
         assert rep.left.ok is ok and rep.right.ok is ok
 
 
@@ -447,7 +457,7 @@ def test_ideal_check_is_relative(monkeypatch, scale):
 def test_ideal_identities_tight():
     I = op([[1.0, 0.0], [0.0, 1.0]])
     rep = summing.ideal_witness_check(LP2, I, op([[0.3, 0.7], [-0.2, 1.1]]), I,
-                                      n=2, m=2, budget=LIGHT)
+                                      n=2, budget=LIGHT)
     assert rep.ok()
     assert rep.left.lhs <= rep.left.rhs + 1e-12
     assert rep.right.lhs <= rep.right.rhs + 1e-12
@@ -457,8 +467,8 @@ def test_ideal_scaled_left_factor():
     T = op([[0.5, 0.2], [0.1, 0.9]])
     I = op([[1.0, 0.0], [0.0, 1.0]])
     R2 = op([[2.0, 0.0], [0.0, 2.0]])
-    rep1 = summing.ideal_witness_check(LP2, I, T, I, n=2, m=2, budget=LIGHT)
-    rep2 = summing.ideal_witness_check(LP2, R2, T, I, n=2, m=2, budget=LIGHT)
+    rep1 = summing.ideal_witness_check(LP2, I, T, I, n=2, budget=LIGHT)
+    rep2 = summing.ideal_witness_check(LP2, R2, T, I, n=2, budget=LIGHT)
     assert rep1.ok() and rep2.ok()
     # doubling R doubles the operator-norm factor in the right-hand side
     assert rep2.left.rhs == pytest.approx(2.0 * rep1.left.rhs, rel=1e-6)
@@ -470,15 +480,34 @@ def test_ideal_random_instances():
         R = op(rng.standard_normal((2, 2)))
         T = op(rng.standard_normal((2, 2)))
         S = op(rng.standard_normal((2, 2)))
-        rep = summing.ideal_witness_check(LP2, R, T, S, n=2, m=2, budget=LIGHT)
+        rep = summing.ideal_witness_check(LP2, R, T, S, n=2, budget=LIGHT)
         assert rep.ok(), (rep.left, rep.right)
+
+
+def test_ideal_inner_factor_runs_no_search(monkeypatch):
+    # the witness is one vector, so its mid norms are its strong norms
+    def boom(*args, **kwargs):
+        raise AssertionError("ideal_witness_check ran a vector-norm search")
+
+    rng = np.random.default_rng(61)
+    R, T, S = (op(rng.standard_normal((2, 2))) for _ in range(3))
+    monkeypatch.setattr(vn, "mid_norm", boom)
+    monkeypatch.setattr(vn, "weak_norm", boom)
+    rep = summing.ideal_witness_check(LP2, R, T, S, n=2, budget=LIGHT)
+    X = summing.pi_lambda_mid(
+        LP2, op(R.entries @ T.entries @ S.entries), n=2, budget=LIGHT).witness.reshape(2, 2)
+    assert not np.any(X[1:])
+    assert rep.right.lhs == vn.strong_norm(LP2, vn.VectorSequence(S.codomain, X @ S.entries.T))
+    assert rep.right.rhs == (summing.operator_norm_upper_matrix(S)
+                             * vn.strong_norm(LP2, vn.VectorSequence(S.domain, X)))
+    assert rep.ok()
 
 
 def test_ideal_rejects_mismatched_shapes():
     R = op([[1.0, 0.0], [0.0, 1.0]])
     T3 = summing.OperatorMatrix(vn.lp_oracle(2, 3), vn.lp_oracle(2, 3), np.eye(3))
     with pytest.raises(ValueError):
-        summing.ideal_witness_check(LP2, R, T3, R, n=2, m=2, budget=LIGHT)
+        summing.ideal_witness_check(LP2, R, T3, R, n=2, budget=LIGHT)
 
 
 # ---------------------------------------------------------------------------
