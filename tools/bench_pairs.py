@@ -9,11 +9,12 @@ workload and end-to-end metric the median and quartiles of each side, with
 the number of pairs the change won.  The metrics and the direction in which
 each is better are read from the change's BENCHMARK.json.
 
-    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label pr13 \\
+    python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
         --what "one line on the change" --seed-base 2500
 
 With --seed-base B the k-th workload listed runs seeds B + 100 k + 1 to
-B + 100 k + pairs.  Ten 30 s pairs of three workloads take about 35 minutes.
+B + 100 k + pairs.  Ten 30 s pairs of three workloads take about 35 minutes
+on a 2-core x86-64 host.
 """
 
 from __future__ import annotations
