@@ -537,6 +537,12 @@ def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
     return float(scale * _pnorm(g, q, w))
 
 
+def _orlicz_power_exponent(M) -> float | None:
+    """p when M is the single function t**p, whose Luxemburg gauge is the lp
+    norm (sum_j (a_j / k)^p <= 1 exactly when k >= |a|_p); else None."""
+    return M.p if isinstance(M, OrliczFunction) and M.kind == "power" else None
+
+
 def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     """Norm of each sequence along the last axis of X, one per leading index.
 
@@ -558,11 +564,10 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     if fam == "c0":
         return A.max(axis=-1)
     if fam == "orlicz":
-        M = spec.orlicz
-        if isinstance(M, OrliczFunction) and M.kind == "power":
-            # sum_j (a_j / k)^p <= 1 exactly when k >= |a|_p
-            return _pnorm(A, M.p)
-        vals = [_luxemburg(r, M) for r in A.reshape(-1, n)]
+        p = _orlicz_power_exponent(spec.orlicz)
+        if p is not None:
+            return _pnorm(A, p)
+        vals = [_luxemburg(r, spec.orlicz) for r in A.reshape(-1, n)]
         return np.array(vals, dtype=float).reshape(A.shape[:-1])
     # trailing zeros of the rearrangement add nothing to any of these forms
     ahat = -np.sort(-A, axis=-1)
@@ -610,11 +615,8 @@ def kothe_dual_spec(spec: SpaceSpec) -> SpaceSpec | None:
     if fam == "c0":
         return lp(1.0)
     if fam == "orlicz":
-        M = spec.orlicz
-        if isinstance(M, OrliczFunction) and M.kind == "power":
-            # the Luxemburg gauge of t**p coincides with the lp norm
-            return lp(conjugate_exponent(M.p))
-        return None
+        p = _orlicz_power_exponent(spec.orlicz)
+        return None if p is None else lp(conjugate_exponent(p))
     if fam == "garling_mu":
         return garling_nu(spec.weights, spec.p)
     if fam == "garling_nu":

@@ -6,7 +6,8 @@ normalizer is a certified over-estimate of the true constraint norm (weak
 gets its operator-norm upper bound, mid gets the strong norm), so each witness
 is genuinely feasible and each value is at most the constant.  Against the
 strong norm the supremum is ||T|| by normality, so the mid constant needs no
-search: pi_lambda_mid is operator_norm, with its label and certified bound.
+search: pi_lambda_mid is operator_norm, with its label and certified bound
+where mid = strong on the whole domain, and as a lower bound elsewhere.
 Its witness is a single vector, on which weak, mid and strong norms agree,
 so the ideal check compares strong norms and runs no search either.  The
 weak-handled ones are searched from singular directions, canonical bases
@@ -244,17 +245,25 @@ def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
 
     The strong norm dominates the mid norm, so the value is a sound lower
     bound.  By normality ||(T x_i)||_s <= ||T|| ||(x_i)||_s, with equality at
-    a single vector, so the sup is operator_norm(T): its value, label,
-    converged and certified_bound, with its witness as the first of n rows,
-    scaled into the strong unit ball.  m is unused; it stays only for
-    callers that still pass it.
+    a single vector, so the sup is operator_norm(T), with its witness as the
+    first of n rows, scaled into the strong unit ball.  Where mid = strong
+    on every sequence (lambda = lp(r) on l_r^d, where the identity into
+    lp(r)^d is a feasible operator, or d = 1), the constant is ||T|| and the
+    result is operator_norm's, label and certified_bound included.
+    Elsewhere the constant can exceed ||T||, so the value is "lower-of-sup":
+    on l1:2 with lp(2), ((1, 1), (1, -1)) has strong norm 2 sqrt 2 and, by
+    the parallelogram law, mid norm 2, so the identity's constant is at
+    least sqrt 2.  m is unused; it stays only for callers that still pass it.
     """
     if n < 1:
         raise ValueError("sequence length n must be >= 1")
     op = operator_norm(T, budget=budget)
     X = np.zeros((n, T.domain.dim))
     X[0] = op.witness / spaces.unit_vector_norm(spec, 1)
-    return replace(op, witness=X.ravel())
+    if T.domain.dim == 1 or (spec.family == "lp" and spec.p == T.domain.p):
+        return replace(op, witness=X.ravel())
+    return Witnessed(value=op.value, witness=X.ravel(), bound_direction="lower-of-sup",
+                     converged=op.converged)
 
 
 def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,

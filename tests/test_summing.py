@@ -197,6 +197,8 @@ def test_pi_mid_identity_scalar():
     T = op([[1.0]], dom="l2:1", cod="l2:1")
     res = summing.pi_lambda_mid(spaces.lp(1), T, n=2, budget=LIGHT)
     assert res.value == 1.0
+    # on a one-dimensional domain mid = strong, so the constant is ||T||
+    assert res.bound_direction == "exact" and res.certified_bound == 1.0
 
 
 def test_pi_mid_zero():
@@ -252,8 +254,13 @@ def test_pi_mid_is_the_operator_norm(name, dom, cod):
     res = summing.pi_lambda_mid(spec, T, n=3, budget=LIGHT)
     opn = summing.operator_norm(T, budget=LIGHT)
     assert res.value == opn.value
-    assert res.bound_direction == opn.bound_direction
-    assert res.certified_bound == opn.certified_bound
+    if spec.family == "lp" and spec.p == D.p:
+        # mid = strong on l_r^d with lp(r), so the constant is ||T||
+        assert res.bound_direction == opn.bound_direction
+        assert res.certified_bound == opn.certified_bound
+    else:
+        assert res.bound_direction == "lower-of-sup"
+        assert res.certified_bound is None
     assert res.converged == opn.converged
     X = res.witness.reshape(3, D.dim)
     assert not np.any(X[1:])
@@ -272,13 +279,27 @@ def test_pi_mid_is_the_operator_norm(name, dom, cod):
 
 
 def test_pi_mid_keeps_the_operator_norm_certificate():
-    # operator_norm certifies this T; pi_lambda_mid once relabelled it
-    # lower-of-sup and dropped the bound
+    # mid = strong on l2 with lp(2), so operator_norm's certificate holds
+    # for the mid constant too; pi_lambda_mid once dropped it here
     T = op(np.random.default_rng(0).standard_normal((2, 2)))
     res = summing.pi_lambda_mid(LP2, T, n=3, budget=LIGHT)
     assert res.value == 0.6574817120029182
     assert res.bound_direction == "exact" and res.converged
     assert res.certified_bound == res.value
+
+
+def test_pi_mid_is_a_lower_bound_where_mid_is_below_strong():
+    # on l1:2 with lp(2), x = ((1, 1), (1, -1)) has strong norm 2 sqrt 2 and
+    # mid norm 2: for columns s1, s2 of norm <= 1 (the l1 -> l2 ball),
+    # |s1 + s2|^2 + |s1 - s2|^2 = 2 |s1|^2 + 2 |s2|^2 <= 4.  So the identity's
+    # mid constant is at least sqrt 2, above ||I|| = 1.
+    I = op(np.eye(2), dom="l1:2", cod="l1:2")
+    x = vn.VectorSequence(I.domain, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert vn.strong_norm(LP2, x) == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
+    assert vn.mid_norm(LP2, x, m=2, budget=LIGHT).value == pytest.approx(2.0, rel=1e-12)
+    res = summing.pi_lambda_mid(LP2, I, n=2, budget=LIGHT)
+    assert res.value == 1.0
+    assert res.bound_direction == "lower-of-sup" and res.certified_bound is None
 
 
 # ---------------------------------------------------------------------------

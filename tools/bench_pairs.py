@@ -1,7 +1,7 @@
 """Run the benchmark in alternating pairs on two revisions; write BENCH_<label>.json.
 
 Each revision is extracted with `git archive` into its own directory, and
-`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` runs
+`python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0` runs
 from its root.  Pair i of a workload runs both sides on the same seed; the
 parent runs first when i is even, the change first when i is odd.  The file
 records every run's result (perfbench's result-<W>-<S>-trace0.json), and per
@@ -13,7 +13,7 @@ each is better are read from the change's BENCHMARK.json.
         --what "one line on the change" --seed-base 2500
 
 With --seed-base B the k-th workload listed runs seeds B + 100 k + 1 to
-B + 100 k + pairs.  Ten 30 s pairs of three workloads take about 35 minutes
+B + 100 k + 10.  Ten 30 s pairs of three workloads take about 35 minutes
 on a 2-core x86-64 host.
 """
 
@@ -29,7 +29,9 @@ import tempfile
 import numpy as np
 
 SIDES = ("parent", "change")
-COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds:g} --trace 0"
+PAIRS = 10
+SECONDS = 30
+COMMAND = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
 PROTOCOL = ("alternating pairs: in pair i the parent runs first when i is even; "
             "each side runs from its own git archive")
 
@@ -41,10 +43,10 @@ def extract(rev: str, dest: str) -> None:
     subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
 
 
-def run_once(root: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: str, workload: str, seed: int) -> dict:
     """One benchmark run from root; its result file, or the reason it has none."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", f"{seconds:g}", "--trace", "0"]
+            "--seconds", str(SECONDS), "--trace", "0"]
     proc = subprocess.run(argv, cwd=root, capture_output=True, text=True)
     path = os.path.join(root, ".perfbench_out", f"result-{workload}-{seed}-trace0.json")
     if proc.returncode != 0 or not os.path.exists(path):
@@ -115,8 +117,6 @@ def main(argv=None) -> int:
     ap.add_argument("--label", required=True)
     ap.add_argument("--what", required=True)
     ap.add_argument("--workloads", default="scalar,chain,operators")
-    ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=30.0)
     ap.add_argument("--seed-base", type=int, default=1000)
     args = ap.parse_args(argv)
     workloads = args.workloads.split(",")
@@ -130,17 +130,17 @@ def main(argv=None) -> int:
         runs, seeds = [], {}
         for k, workload in enumerate(workloads):
             first = args.seed_base + 100 * k + 1
-            seeds[workload] = f"{first}-{first + args.pairs - 1}"
-            for i in range(args.pairs):
+            seeds[workload] = f"{first}-{first + PAIRS - 1}"
+            for i in range(PAIRS):
                 for j, side in enumerate(order(i)):
-                    result = run_once(roots[side], workload, first + i, args.seconds)
+                    result = run_once(roots[side], workload, first + i)
                     runs.append({"workload": workload, "seed": first + i, "pair": i,
                                  "side": side, "ran_first": j == 0, "result": result})
                     print(f"{workload} pair {i} {side}: "
                           f"{result.get('metrics', {}).get('ops_per_s', {}).get('value')}",
                           file=sys.stderr, flush=True)
 
-    report = {"what": args.what, "command": COMMAND.format(seconds=args.seconds),
+    report = {"what": args.what, "command": COMMAND,
               "host": host(runs), "protocol": PROTOCOL, "seeds": seeds,
               "summary": summarize(runs, metrics), "runs": runs}
     with open(f"BENCH_{args.label}.json", "w") as fh:
