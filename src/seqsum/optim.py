@@ -17,8 +17,13 @@ the restart that produced the witness.
 
 Determinism contract: identical inputs and budget (including the seed) give
 bit-identical results.  Each restart draws from its own child generator of
-np.random.SeedSequence(entropy=seed, spawn_key=(restart,)), so results do not
-depend on evaluation order across restarts.
+np.random.SeedSequence(entropy=seed, spawn_key=(restart,)).  The restarts
+are scored together: each tick stacks the polls of every live restart into
+one call, and the stack contract below is what keeps each restart's
+trajectory bit for bit that of the restart run alone.  The restarts are then
+replayed in order under the rule of running them one after another, so the
+target check, the evaluation count, the winner and the errors raised are
+those of that rule.
 
 Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
 of values, and Ball.project acts on the last axis of an array with any
@@ -194,54 +199,64 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
     )
 
 
-def _score(objective, points: np.ndarray) -> np.ndarray:
-    """Objective values of a stack of points, raising on any NaN."""
-    vals = np.asarray(objective(points), dtype=float)
+def _checked(vals) -> np.ndarray:
+    """vals as a float array, raising on any NaN."""
+    vals = np.asarray(vals, dtype=float)
     if np.isnan(vals).any():
         raise ValueError("objective returned NaN")
     return vals
 
 
-def _poll(objective, domain: Ball, C: np.ndarray, best: float):
-    """First of the candidate rows of C that beats best, in row order.
+def _score(objective, points: np.ndarray) -> np.ndarray:
+    """Objective values of a stack of points, raising on any NaN."""
+    return _checked(objective(points))
 
-    Returns (row, projected point, value), with row None when none improves.
-    All rows are projected and scored in one stacked call; a NaN counts only
-    up to the row taken, which is as far as a one-at-a-time poll reads.  If
-    the stacked call raises, the rows are scored one at a time instead, so
-    an error surfaces only at a candidate that poll would reach.
+
+def _first_improvement(P: np.ndarray, F: np.ndarray, best: float):
+    """First row of the scored stack (P, F) that beats best, in row order.
+
+    Returns (row, point, value), with row None when none improves.  A NaN
+    counts only up to the row taken, which is as far as a one-at-a-time poll
+    reads.
     """
-    try:
-        P = domain.project(C)
-        F = np.asarray(objective(P), dtype=float)
-    except Exception:
-        for j in range(C.shape[0]):
-            p = domain.project(C[j:j + 1])
-            f = _score(objective, p)[0]
-            if f > best:
-                return j, p[0], float(f)
-        return None, None, best
-    hit = np.flatnonzero(F > best)
-    last = int(hit[0]) if hit.size else C.shape[0] - 1
-    if np.isnan(F[: last + 1]).any():
-        raise ValueError("objective returned NaN")
-    if not hit.size:
+    up = F > best
+    last = int(up.argmax()) if up.any() else F.shape[0] - 1
+    _checked(F[: last + 1])
+    if not up[last]:
         return None, None, best
     return last, P[last], float(F[last])
 
 
-def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
-    """Compass search from x0.  Returns (best_x, best_f, converged, evals).
+def _poll_rows(objective, domain: Ball, C: np.ndarray, best: float):
+    """The one-at-a-time poll of the candidate rows of C: each row is
+    projected and scored on its own, so an error surfaces only at a
+    candidate that this poll reaches."""
+    for j in range(C.shape[0]):
+        p = domain.project(C[j:j + 1])
+        f = _score(objective, p)[0]
+        if f > best:
+            return j, p[0], float(f)
+    return None, None, best
+
+
+def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
+    """Compass search from x0, as a generator that _lockstep drives.
+
+    It yields a stack and is sent back (P, F), the stack projected and its
+    values, or None to score the stack itself one row at a time.  The first
+    stack is its projected start, which is scored as it is; every later one
+    holds poll candidates.  Returns (best_x, best_f, converged, evals).
 
     The poll is first-improvement in (coordinate, +, -) order.  It is run
     speculatively: every candidate left in the sweep, from coordinate i on,
-    is stacked and scored in one call, the first improvement is taken, and
-    the rest of the sweep is re-stacked from the next coordinate at the new
-    point.  The trajectory is that of the one-at-a-time poll, and evals
-    counts only the candidates that poll scores.
+    is stacked and scored, the first improvement is taken, and the rest of
+    the sweep is re-stacked from the next coordinate at the new point.  The
+    trajectory is that of the one-at-a-time poll, and evals counts only the
+    candidates that poll scores.
     """
     x = domain.project(np.array(x0, dtype=float))
-    best = float(_score(objective, x[None])[0])
+    scored = yield x[None]
+    best = float((_score(objective, x[None]) if scored is None else _checked(scored[1]))[0])
     step = budget.init_step
     evals = 1
     converged = False
@@ -256,7 +271,11 @@ def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
             k = 2 * dim - start
             C = np.repeat(x[None], k, axis=0)
             C[np.arange(k), coord[start:]] += sign[start:] * step
-            j, point, best = _poll(objective, domain, C, best)
+            scored = yield C
+            if scored is None:
+                j, point, best = _poll_rows(objective, domain, C, best)
+            else:
+                j, point, best = _first_improvement(*scored, best)
             if j is None:
                 evals += k
                 break
@@ -271,6 +290,74 @@ def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
                 converged = True
                 break
     return x, best, converged, evals
+
+
+def _stack_scores(objective, domain: Ball, C: np.ndarray, project: bool):
+    """(P, F): the stack C, projected if project, and its values; None if
+    that raises."""
+    try:
+        P = domain.project(C) if project else C
+        return P, np.asarray(objective(P), dtype=float)
+    except Exception:
+        return None
+
+
+def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
+    """Compass searches from every start, polled together.
+
+    A generator of ticks.  On each tick the stacks of every live search are
+    concatenated, projected and scored in one call, and each search takes
+    its own slice; the first tick scores the projected starts as they are.
+    If that call raises, each search's stack is scored on its own, and a
+    stack that raises there too is polled one row at a time.  After each
+    tick it yields the outcomes, one per start: None while that search
+    runs, then its (best_x, best_f, converged, evals), or the exception it
+    raised, held for the caller.  By the stack contract a row scores the
+    same bits in any stack, so each search follows the trajectory it has
+    alone.  Searches still running when the caller stops are dropped.
+    """
+    sweeps = [_sweep(objective, domain, x0, budget) for x0 in starts]
+    outcomes = [None] * len(sweeps)
+    live = []  # (search, the stack it waits on), in the order of the starts
+
+    def advance(i, scored):
+        try:
+            live.append((i, sweeps[i].send(scored)))
+        except StopIteration as stop:
+            outcomes[i] = stop.value
+        except Exception as err:
+            outcomes[i] = err
+
+    for i in range(len(sweeps)):
+        advance(i, None)
+    project = False
+    while live:
+        tick, live = live, []
+        blocks = [C for _, C in tick]
+        scored = _stack_scores(objective, domain, np.concatenate(blocks), project)
+        if scored is not None:
+            P, F = scored
+            ends = np.cumsum([len(C) for C in blocks]).tolist()
+            answers = [(P[a:b], F[a:b]) for a, b in zip([0] + ends, ends)]
+        elif len(blocks) > 1 and project:
+            answers = [_stack_scores(objective, domain, C, project) for C in blocks]
+        else:
+            # a lone stack, or the one-row starts: nothing smaller to try
+            answers = [None] * len(blocks)
+        for (i, _), answer in zip(tick, answers):
+            advance(i, answer)
+        project = True
+        yield outcomes
+
+
+def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
+    """Compass search from x0: the lockstep driver with one start.
+    Returns (best_x, best_f, converged, evals)."""
+    for outcomes in _lockstep(objective, domain, [x0], budget):
+        pass
+    if isinstance(outcomes[0], Exception):
+        raise outcomes[0]
+    return outcomes[0]
 
 
 def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
@@ -317,18 +404,29 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     def met():
         return goal is not None and meets(best_f, goal)
 
+    def start(r):
+        if r < len(prepared):
+            return prepared[r]
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,))
+        )
+        return domain.project(np.asarray(domain.random_point(rng), dtype=float))
+
+    # the restarts search in lockstep, and are replayed here in order under
+    # the rule of running them one after another: the target is checked
+    # before each restart, and a restart the replay skips neither counts nor
+    # raises.  The starts are drawn when the first tick runs.
+    ticks = _lockstep(f, domain, (start(r) for r in range(budget.restarts)), budget)
+    outcomes = [None] * budget.restarts
     flags = []
     for r in range(budget.restarts):
         if met():
             break
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,))
-        )
-        if r < len(prepared):
-            x0 = prepared[r]
-        else:
-            x0 = domain.project(np.asarray(domain.random_point(rng), dtype=float))
-        x, val, conv, ev = _sweep_search(f, domain, x0, budget)
+        while outcomes[r] is None:
+            outcomes = next(ticks)
+        if isinstance(outcomes[r], Exception):
+            raise outcomes[r]
+        x, val, conv, ev = outcomes[r]
         total_evals += ev
         flags.append(conv)
         if val > best_f:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -154,30 +155,37 @@ class VectorSequence:
 # Operator norm upper bounds (certified feasibility handles)
 
 
+@lru_cache(maxsize=None)
 def _sign_vectors(k: int) -> np.ndarray:
-    # half the cube is enough: the norm is even in the sign vector
+    """The sign vectors of length k with first entry 1, as rows of a
+    read-only array: half the cube, since the norms here are even in them."""
     combos = list(_iterproduct((1.0, -1.0), repeat=k - 1)) if k > 1 else [()]
-    return np.array([(1.0,) + c for c in combos])
+    S = np.array([(1.0,) + c for c in combos])
+    S.flags.writeable = False
+    return S
 
 
-def _l2_to_lp_upper(M: np.ndarray, r: float):
+def _l2_to_lp_upper(M: np.ndarray, r: float, rows: np.ndarray):
+    """The l2 -> lp(r) row of the table, given the l2 lengths of M's rows;
+    each branch computes only what it reads."""
+    if math.isinf(r):
+        return rows.max(axis=-1)
+    m = M.shape[-2]
+    if r < 2.0 and m <= _SIGN_ENUM_LIMIT:
+        to_one = spaces._pnorm(np.abs(_sign_vectors(m) @ M), 2.0).max(axis=-1)
+        if r == 1.0:
+            return to_one
     sv = np.linalg.svd(M, compute_uv=False)[..., 0]
     if r == 2.0:
         return sv
     if r > 2.0:
-        row2 = spaces._pnorm(np.abs(M), 2.0).max(axis=-1)
-        if math.isinf(r):
-            return row2
         # pointwise |y|_r <= |y|_2^(2/r) |y|_inf^(1-2/r)
         t = 2.0 / r
-        return sv**t * row2 ** (1.0 - t)
-    m = M.shape[-2]
-    if m <= _SIGN_ENUM_LIMIT:
-        to_one = spaces._pnorm(np.abs(_sign_vectors(m) @ M), 2.0).max(axis=-1)
-    else:
+        return sv**t * rows.max(axis=-1) ** (1.0 - t)
+    if m > _SIGN_ENUM_LIMIT:
         to_one = math.sqrt(m) * sv
-    if r == 1.0:
-        return to_one
+        if r == 1.0:
+            return to_one
     # 1 < r < 2: |y|_r <= |y|_1^th |y|_2^(1-th), th = 2/r - 1
     th = 2.0 / r - 1.0
     return to_one**th * sv ** (1.0 - th)
@@ -203,6 +211,8 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         return 0.0 if one else np.zeros(M.shape[:-2])
     d = M.shape[-1]
     p = dom.p
+    # the rows' dual lengths, for the normality bound |(Mx)_i| <= |row_i|_dom* |x|_dom
+    rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
     if p == 1.0:
         val = evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
     elif math.isinf(p):
@@ -213,7 +223,7 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         else:
             val = d * evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
     elif p == 2.0 and cod.family in ("lp", "c0"):
-        val = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf)
+        val = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf, rows)
     elif p == 2.0:
         val = math.inf
     else:
@@ -221,8 +231,6 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         c2 = 1.0 if p <= 2.0 else d ** (0.5 - 1.0 / p)
         val = np.minimum(c2 * operator_norm_upper(M, lp_oracle(2.0, d), cod),
                          operator_norm_upper(M, lp_oracle(math.inf, d), cod))
-    # normality: |(Mx)_i| <= |row_i|_dom* |x|_dom
-    rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
     val = np.minimum(val, evaluate_norms(cod, rows))
     return float(val) if one else val
 

@@ -264,6 +264,8 @@ def sequential_sweep_search(objective, domain, x0, budget):
     """
     x = domain.project(np.array(x0, dtype=float))
     best = float(objective(x[None])[0])
+    if math.isnan(best):
+        raise ValueError("objective returned NaN")
     step = budget.init_step
     evals = 1
     converged = False
@@ -289,3 +291,66 @@ def sequential_sweep_search(objective, domain, x0, budget):
                 converged = True
                 break
     return x, best, converged, evals
+
+
+def sequential_run(objective, domain, budget, seeds=(), sign=1.0, target=None):
+    """Multi-start compass search with its restarts run one after another.
+
+    The reference for the lockstep restarts of optim's searches.  The seeds
+    are projected and scored one at a time; then, while the target is not
+    met, restart r runs sequential_sweep_search from seed r, or from a point
+    that domain.random_point draws from the generator of
+    SeedSequence(entropy=budget.seed, spawn_key=(r,)).  The best point is
+    rescaled onto the sphere of the domain if that scores no worse, and
+    rescored.  sign is 1 for a sup and -1 for an inf, target a certified
+    bound on the other side.  Returns (witness, value, converged, details),
+    the value in the objective's own units.
+    """
+    def f(V):
+        vals = sign * np.asarray(objective(V), dtype=float)
+        if np.isnan(vals).any():
+            raise ValueError("objective returned NaN")
+        return vals
+
+    goal = None if target is None else sign * float(target)
+    prepared = [domain.project(np.asarray(s, dtype=float).ravel()) for s in seeds]
+    best_x, best_f, winner, evals = None, -math.inf, None, 0
+    for i, x in enumerate(prepared):
+        val = float(f(x[None])[0])
+        evals += 1
+        if val > best_f:
+            best_f, best_x, winner = val, x, i
+
+    def met():
+        return goal is not None and best_f >= goal - 1e-12 * abs(goal)
+
+    flags = []
+    for r in range(budget.restarts):
+        if met():
+            break
+        if r < len(prepared):
+            x0 = prepared[r]
+        else:
+            rng = np.random.default_rng(
+                np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,)))
+            x0 = domain.project(np.asarray(domain.random_point(rng), dtype=float))
+        x, val, conv, ev = sequential_sweep_search(f, domain, x0, budget)
+        evals += ev
+        flags.append(conv)
+        if val > best_f:
+            best_f, best_x, winner = val, x, r
+
+    if domain.to_boundary is not None:
+        xb = domain.to_boundary(best_x)
+        if np.all(np.isfinite(xb)) and domain.membership(xb):
+            vb = float(f(xb[None])[0])
+            evals += 1
+            if vb >= best_f:
+                best_f, best_x = vb, xb
+    best_f = float(f(best_x[None])[0])
+    details = {"evals": evals, "restarts": budget.restarts, "domain": domain.label}
+    if met():
+        details.update(stop="certificate", restarts_run=len(flags))
+        return best_x, sign * best_f, True, details
+    converged = winner is not None and winner < len(flags) and flags[winner]
+    return best_x, sign * best_f, converged, details

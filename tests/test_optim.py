@@ -346,6 +346,128 @@ def test_converged_is_the_winning_restarts_flag():
 
 
 # ---------------------------------------------------------------------------
+# lockstep restarts against the restarts run one after another
+
+
+def _assert_sequential(objective, domain, budget, seeds=(), target=None, sign=1.0):
+    search = optim.maximize_over_ball if sign > 0 else optim.minimize_over_family
+    got = search(objective, domain, budget=budget, seeds=list(seeds), target=target)
+    x, value, converged, details = oc.sequential_run(objective, domain, budget, seeds,
+                                                     sign=sign, target=target)
+    assert np.array_equal(got.witness, x)
+    assert got.value == value
+    assert got.converged == converged
+    assert got.certified_bound == target
+    assert got.details == details
+    return got
+
+
+def _mid_objective(A, spec, m, d):
+    def objective(flat):
+        T = flat.reshape(flat.shape[:-1] + (m, d))
+        return spaces.evaluate_norms(spec, spaces.evaluate_norms(spec, A @ np.swapaxes(T, -1, -2)))
+    return objective
+
+
+@pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_lockstep_keeps_the_sequential_results_on_operator_balls(p, r):
+    # the mid-norm search over the operator ball from an l_r domain into
+    # lp(p)^m, with two seeds and three random starts
+    rng = np.random.default_rng(40 + int(p) + (9 if math.isinf(r) else int(r)))
+    m, n, d = 3, 4, 2
+    A = rng.standard_normal((n, d))
+    spec = spaces.lp(p)
+    ball = vn._operator_ball(vn.lp_oracle(r, d), spec, m)
+    seeds = [ball.random_point(rng), ball.random_point(rng)]
+    res = _assert_sequential(_mid_objective(A, spec, m, d), ball,
+                             OptBudget(restarts=5, iterations=60, seed=3), seeds)
+    assert "stop" not in res.details
+
+
+def test_lockstep_with_one_restart_is_the_one_start_search():
+    rng = np.random.default_rng(47)
+    A = rng.standard_normal((4, 3))
+    ball = vn._operator_ball(vn.lp_oracle(2, 3), spaces.lp(3), 2)
+    _assert_sequential(_mid_objective(A, spaces.lp(3), 2, 3), ball,
+                       OptBudget(restarts=1, iterations=60))
+    _assert_sequential(_mid_objective(A, spaces.lp(3), 2, 3), ball,
+                       OptBudget(restarts=1, iterations=60), seeds=[ball.random_point(rng)])
+
+
+def test_lockstep_keeps_the_sequential_results_on_free_minimisation():
+    # the single-block tensor cost over free mixings, one seed and three
+    # random starts
+    E = np.array([[1.0, -0.4, 0.3], [0.2, 0.9, -1.1]])
+    X0, Y0 = tensor._base_factors(E, 2)
+    u = tensor.Tensor(vn.lp_oracle(2, 2), vn.lp_oracle(2, 3), E)
+    lam = spaces.lp(2)
+
+    def cost(flat):
+        Xm, Ym, ok = tensor._mixed_block(X0, Y0, flat.reshape(flat.shape[:-1] + (2, 2)))
+        return np.where(ok, tensor._block_cost(lam, lam, u, Xm, Ym), math.inf)
+
+    res = _assert_sequential(cost, optim.free_domain(4, scale=0.4),
+                             OptBudget(restarts=4, iterations=80),
+                             seeds=[np.array([0.3, -0.2, 0.1, 0.5])], sign=-1.0)
+    assert res.bound_direction == "upper-of-inf"
+
+
+def _bowl(X, c=np.array([0.3, -0.2])):
+    return -np.sum((X - c) ** 2, axis=-1)
+
+
+def test_lockstep_drops_the_restarts_after_the_target_is_met():
+    # a loose bound that restart 0 of 3 meets: the replay stops there, and
+    # the two random restarts that ran beside it neither count nor score
+    res = _assert_sequential(_bowl, optim.free_domain(2, scale=10.0),
+                             OptBudget(restarts=3, iterations=300),
+                             seeds=[np.zeros(2)], target=-1e-6)
+    assert res.details["restarts_run"] == 1
+    assert res.details["stop"] == "certificate"
+
+
+def _bad_far_out(kind):
+    # NaN, or an error, wherever a row leaves the square |x|_inf <= 3
+    def objective(X):
+        far = np.abs(X).max(axis=-1) > 3.0
+        if kind == "raise" and far.any():
+            raise RuntimeError("point far out")
+        return np.where(far, math.nan, _bowl(X))
+    return objective
+
+
+@pytest.mark.parametrize("kind, error", [("nan", ValueError), ("raise", RuntimeError)])
+def test_lockstep_holds_a_restarts_error_until_the_replay_reaches_it(kind, error):
+    # the random starts of restarts 1 and 2 lie far out, and restart 0 never
+    # leaves the square
+    objective, dom = _bad_far_out(kind), optim.free_domain(2, scale=10.0)
+    budget = OptBudget(restarts=3, iterations=300)
+    # restart 0 meets the target, so the replay never reaches the others
+    res = _assert_sequential(objective, dom, budget, seeds=[np.zeros(2)], target=-1e-6)
+    assert res.details["restarts_run"] == 1
+    # without a target the replay reaches restart 1, and raises what it raised
+    with pytest.raises(error):
+        optim.maximize_over_ball(objective, dom, budget=budget, seeds=[np.zeros(2)])
+    with pytest.raises(error):
+        oc.sequential_run(objective, dom, budget, [np.zeros(2)])
+
+
+def test_lockstep_falls_back_per_restart_when_the_stack_raises():
+    # stacks that reach x[1] < 0 raise, and every speculative stack from a
+    # point with x[1] < step does; no candidate the sequential poll scores
+    # does, so every restart keeps its trajectory
+    def objective(X):
+        if np.any(X[:, 1] < 0.0):
+            raise RuntimeError("candidate past the accepted one")
+        return np.minimum(X, 1.0).sum(axis=1)
+
+    seeds = [np.zeros(2), np.array([0.2, 0.5]), np.array([-1.0, 0.25])]
+    _assert_sequential(objective, optim.free_domain(2),
+                       OptBudget(restarts=3, iterations=30, min_step=1e-3), seeds)
+
+
+# ---------------------------------------------------------------------------
 # the gauge-ball contract, for every ball of a gauge the library builds
 
 GEOM = WeightSeq(prefix=(1.0,), tail="geometric:0.5")

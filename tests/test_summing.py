@@ -420,12 +420,13 @@ def test_summing_bound_closed_forms():
 
 def test_summing_open_gap_runs_the_untargeted_search(monkeypatch):
     # lp(2) on l2 -> l3: the bound stays above both searches, so every
-    # restart runs and each result is the untargeted search's, bit for bit
+    # restart runs and each result is the untargeted search's, bit for bit.
+    # The lockstep driver makes one optim._sweep per restart; with no stop at
+    # the certificate, the replay takes every one of them in.
     T = op(np.random.default_rng(1).standard_normal((3, 3)), "l2:3", "l3:3")
     sweeps = []
-    sweep = optim._sweep_search
-    monkeypatch.setattr(optim, "_sweep_search",
-                        lambda *a: sweeps.append(1) or sweep(*a))
+    sweep = optim._sweep
+    monkeypatch.setattr(optim, "_sweep", lambda *a: sweeps.append(1) or sweep(*a))
     targeted = _two_sided(LP2, T, LIGHT)
     assert len(sweeps) == 2 * LIGHT.restarts
     monkeypatch.setattr(summing, "_summing_upper", lambda spec, T: None)
