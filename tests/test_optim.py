@@ -266,6 +266,14 @@ def test_concat_domain_slices():
     assert float(np.sum(np.abs(w[2:]))) <= 1.0 + 1e-9
 
 
+def _mid_objective(A, spec, m, d):
+    def objective(flat):
+        T = flat.reshape(flat.shape[:-1] + (m, d))
+        imgs = A @ np.swapaxes(T, -1, -2)
+        return spaces.evaluate_norms(spec, spaces.evaluate_norms(spec, imgs))
+    return objective
+
+
 def _assert_same_trajectory(objective, domain, x0, budget):
     got = optim._sweep_search(objective, domain, x0, budget)
     want = oc.sequential_sweep_search(objective, domain, x0, budget)
@@ -283,14 +291,9 @@ def test_speculative_poll_keeps_trajectory_on_operator_ball(p, r):
     A = rng.standard_normal((n, d))
     spec = spaces.lp(p)
     ball = vn._operator_ball(vn.lp_oracle(r, d), spec, m)
-
-    def objective(flat):
-        T = flat.reshape(flat.shape[:-1] + (m, d))
-        imgs = A @ np.swapaxes(T, -1, -2)
-        return spaces.evaluate_norms(spec, spaces.evaluate_norms(spec, imgs))
-
     budget = OptBudget(iterations=60)
-    _assert_same_trajectory(objective, ball, ball.random_point(rng), budget)
+    _assert_same_trajectory(_mid_objective(A, spec, m, d), ball, ball.random_point(rng),
+                            budget)
 
 
 def test_speculative_poll_keeps_trajectory_on_free_minimisation():
@@ -360,13 +363,6 @@ def _assert_sequential(objective, domain, budget, seeds=(), target=None, sign=1.
     assert got.certified_bound == target
     assert got.details == details
     return got
-
-
-def _mid_objective(A, spec, m, d):
-    def objective(flat):
-        T = flat.reshape(flat.shape[:-1] + (m, d))
-        return spaces.evaluate_norms(spec, spaces.evaluate_norms(spec, A @ np.swapaxes(T, -1, -2)))
-    return objective
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
