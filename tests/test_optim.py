@@ -381,7 +381,7 @@ def test_lockstep_keeps_the_sequential_results_on_operator_balls(p, r):
     assert "stop" not in res.details
 
 
-def test_lockstep_with_one_restart_is_the_one_start_search():
+def test_lockstep_with_one_restart_keeps_the_sequential_result():
     rng = np.random.default_rng(47)
     A = rng.standard_normal((4, 3))
     ball = vn._operator_ball(vn.lp_oracle(2, 3), spaces.lp(3), 2)
