@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 
@@ -134,26 +133,10 @@ def _load(text: str, what: str, from_json):
 
 
 def _budget_from(args) -> OptBudget:
-    base = OptBudget()
-    restarts = args.restarts
-    iterations = args.iterations
-    env = os.environ.get("SEQSUM_BUDGET")
-    try:
-        if env:
-            for piece in env.split(","):
-                key, _, val = piece.partition("=")
-                key = key.strip()
-                if key == "restarts" and restarts is None:
-                    restarts = int(val)
-                elif key == "iterations" and iterations is None:
-                    iterations = int(val)
-        return OptBudget(
-            restarts=restarts if restarts is not None else base.restarts,
-            iterations=iterations if iterations is not None else base.iterations,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise CliError(f"bad search budget: {exc}", EXIT_BAD_INPUT) from exc
+    """The default budget, with the --seed, --restarts and --iterations given."""
+    given = {key: getattr(args, key) for key in ("restarts", "iterations")
+             if getattr(args, key) is not None}
+    return OptBudget(seed=args.seed, **given)
 
 
 # integer options and the least value each accepts

@@ -120,11 +120,12 @@ class Ball:
     """Search domain with a feasibility projection.
 
     project must be idempotent and land inside the feasible set; it acts on
-    the last axis, row by row, of a point or a stack of points.  membership
-    is the ground-truth test used to certify one witness.  to_boundary, when
-    set, rescales a nonzero point onto the unit sphere of the domain; the
-    search polishes its best point with it, and keeps the rescaled point
-    only if it scores at least as well.
+    the last axis, row by row, of a point or a stack of points.  random_point
+    returns a point that is projected already, since the search starts from
+    it as it is.  membership is the ground-truth test used to certify one
+    witness.  to_boundary, when set, rescales a nonzero point onto the unit
+    sphere of the domain; the search polishes its best point with it, and
+    keeps the rescaled point only if it scores at least as well.
     """
 
     dim: int
@@ -244,8 +245,8 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
 
     It yields a stack and is sent back (P, F), the stack projected and its
     values, or None to score the stack itself one row at a time.  The first
-    stack is its projected start, which is scored as it is; every later one
-    holds poll candidates.  Returns (best_x, best_f, converged, evals).
+    stack is its start, a point of the domain that is scored as it is; every
+    later one holds poll candidates.  Returns (best_x, best_f, converged, evals).
 
     The poll is first-improvement in (coordinate, +, -) order.  It is run
     speculatively: every candidate left in the sweep, from coordinate i on,
@@ -254,7 +255,7 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
     trajectory is that of the one-at-a-time poll, and evals counts only the
     candidates that poll scores.
     """
-    x = domain.project(np.array(x0, dtype=float))
+    x = np.array(x0, dtype=float)
     scored = yield x[None]
     best = float((_score(objective, x[None]) if scored is None else _checked(scored[1]))[0])
     step = budget.init_step
@@ -307,7 +308,8 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
 
     A generator of ticks.  On each tick the stacks of every live search are
     concatenated, projected and scored in one call, and each search takes
-    its own slice; the first tick scores the projected starts as they are.
+    its own slice; the first tick scores the starts, points of the domain,
+    as they are.
     If that call raises, each search's stack is scored on its own, and a
     stack that raises there too is polled one row at a time.  After each
     tick it yields the outcomes, one per start: None while that search
@@ -410,7 +412,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,))
         )
-        return domain.project(np.asarray(domain.random_point(rng), dtype=float))
+        return np.asarray(domain.random_point(rng), dtype=float)
 
     # the restarts search in lockstep, and are replayed here in order under
     # the rule of running them one after another: the target is checked

@@ -6,14 +6,16 @@ normalizer is a certified over-estimate of the true constraint norm (weak
 gets its operator-norm upper bound, mid gets the strong norm), so each witness
 is genuinely feasible and each value is at most the constant.  Against the
 strong norm the supremum is ||T|| by normality, so the mid constant needs no
-search: pi_lambda_mid is operator_norm, with its label and certified bound
-where mid = strong on the whole domain, and as a lower bound elsewhere.
-Its witness is a single vector, on which weak, mid and strong norms agree,
-so the ideal check compares strong norms and runs no search either.  The
-weak-handled ones are searched from singular directions, canonical bases
-and rank-one compositions, and stop at _summing_upper, a closed-form upper
-bound of both: there they are "exact", which covers the Hilbert-Schmidt
-case (lp(2) on l2^d -> l2^e, with n >= d and, for w^mid, m >= e).
+search of its own: pi_lambda_mid is operator_norm, with its label and
+certified bound where mid = strong on the whole domain, and as a lower bound
+elsewhere.  operator_norm is vector_norms.operator_norm, the same sup as the
+weak norm of a trace map.  Its witness is a single vector, on which weak,
+mid and strong norms agree, so the ideal check compares strong norms and
+runs no search either.  The weak-handled ones are searched from singular
+directions, canonical bases and rank-one compositions, and stop at
+_summing_upper, a closed-form upper bound of both: there they are "exact",
+which covers the Hilbert-Schmidt case (lp(2) on l2^d -> l2^e, with n >= d
+and, for w^mid, m >= e).
 """
 
 from __future__ import annotations
@@ -95,53 +97,9 @@ def rank_one_operator(domain: NormOracle, codomain: NormOracle,
 
 
 def operator_norm(T: OperatorMatrix, budget: OptBudget | None = None) -> Witnessed:
-    """Operator norm, exact where a norming point meets operator_norm_upper.
-
-    The points are those where the bound's closed forms are attained: the
-    top right singular vector, the basis, the sign vectors of an linf
-    domain, and the duality maps of the rows into linf or of the signed row
-    sums into l1.  The first one that meets the bound is the "exact"
-    witness.  Otherwise a search over the domain ball, seeded with the
-    singular vector, the basis and the best other point, stops at the
-    bound, "exact" if it meets it and lower-of-sup if not.  Either result
-    carries the bound as certified_bound.
-    """
-    M = T.entries
-    e, d = M.shape
-    dom_p, cod = T.domain.p, T.codomain
-    pts = []
-    try:
-        pts.append(np.linalg.svd(M)[2][:1])
-    except np.linalg.LinAlgError:
-        pass
-    pts.append(np.eye(d))
-    n_seeds = sum(len(P) for P in pts)
-    if math.isinf(dom_p) and d <= vn._SIGN_ENUM_LIMIT:
-        pts.append(vn._sign_vectors(d))
-    if math.isinf(cod.p):
-        pts.append(vn._duality_maps(dom_p, M))
-    if cod.p == 1.0 and e <= vn._SIGN_ENUM_LIMIT:
-        pts.append(vn._duality_maps(dom_p, vn._sign_vectors(e) @ M))
-    ball = T.domain.ball()
-
-    def objective(X):
-        return vn.row_lengths(cod, X @ M.T)
-
-    P = ball.project(np.concatenate(pts))
-    vals = objective(P)
-    bound = operator_norm_upper_matrix(T)
-    hit = np.flatnonzero(optim.meets(vals, bound))
-    if hit.size:
-        i = int(hit[0])
-        return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
-                         converged=True, certified_bound=bound)
-    seeds = list(P[:n_seeds])
-    best = int(np.argmax(vals))
-    if best >= n_seeds:
-        # a second copy of a seed would only take a random restart's place
-        seeds.append(P[best])
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    target=bound)
+    """Operator norm between the lp oracles: vector_norms.operator_norm of
+    the entries into lp(q), with q the codomain's exponent."""
+    return vn.operator_norm(T.entries, T.domain, spaces.lp(T.codomain.p), budget)
 
 
 def operator_norm_upper_matrix(T: OperatorMatrix) -> float:

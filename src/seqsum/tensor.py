@@ -95,12 +95,6 @@ class Representation:
     def residual(self, u: Tensor) -> float:
         return float(np.max(np.abs(self.reconstruct() - u.entries)))
 
-    def cost(self, spec: SpaceSpec, dual_spec: SpaceSpec) -> float:
-        total = 0.0
-        for xs, ys in self.blocks:
-            total += vn.strong_norm(spec, xs) * vn.strong_norm(dual_spec, ys)
-        return total
-
 
 def _require_dual(spec: SpaceSpec) -> SpaceSpec:
     dual = spaces.kothe_dual_spec(spec)
@@ -230,17 +224,16 @@ def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
 
 
 def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
-                   r: int | None = None,
                    budget: OptBudget | None = None,
                    single_block: Witnessed | None = None) -> Witnessed:
     """Convexified representation cost over multi-block splits.
 
     Free parameters: the first blocks-1 coefficient matrices (each factorized
     by its own balanced SVD) plus a mixing matrix for the last block, which
-    absorbs the remainder so reconstruction stays exact.  Seeded with the
-    single-block solution (computed here when not passed in), so the value
-    never exceeds it beyond float noise.  Stops at the same certified lower
-    bound as gamma_lambda.
+    absorbs the remainder so reconstruction stays exact; each block has
+    r = min(d, e) terms.  Seeded with the single-block solution (computed
+    here when not passed in), so the value never exceeds it beyond float
+    noise.  Stops at the same certified lower bound as gamma_lambda.
     """
     dual_spec = _require_dual(spec)
     E = u.entries
@@ -250,9 +243,9 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
                          converged=True, certified_bound=0.0)
     if blocks < 1:
         raise ValueError("need at least one block")
-    r = r if r is not None else min(d, e)
+    r = min(d, e)
     if single_block is None:
-        single_block = gamma_lambda(spec, u, r=r, budget=budget)
+        single_block = gamma_lambda(spec, u, budget=budget)
     B = blocks
     free = (B - 1) * d * e
 
@@ -272,6 +265,8 @@ def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
 
     domain = optim.free_domain(free + r * r, scale=0.3, label="blocks")
     seed = np.zeros(free + r * r)
+    # a single block of fewer than r terms, as gamma_lambda(r=1) gives, has
+    # no r x r mixing to start from
     if single_block.witness is not None and single_block.witness.size == r * r:
         seed[free:] = single_block.witness
     res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[seed],

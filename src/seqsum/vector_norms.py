@@ -9,9 +9,13 @@ truncation of the scalar space).  Sup-defined values are witness-certified
 lower bounds; chain ordering weak <= mid <= strong is enforced by seeding the
 mid search with a rank-one operator built from the weak witness.
 
-Each search also carries a certified upper bound: weak_norm_upper for weak
-and weak-star, the strong norm for mid.  The search stops once a witness
-meets it to 1e-12 relative, and that value is then labelled "exact".
+Weak and weak-star are operator norms: of the trace map f -> (f(x_n))_n on
+the dual ball, and of x -> (f_n(x))_n on the primal ball.  Both are one call
+to operator_norm, the witnessed sup of |Mx| over an lp oracle's ball, which
+summing.operator_norm also is.  It scores the points where the closed forms
+of operator_norm_upper are attained, and searches only if none meets that
+bound.  Mid searches the operator ball and stops at the strong norm.  A
+value that meets its certified bound to 1e-12 relative is "exact".
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
     "ChainReport",
     "limited_bound_profile",
     "BoundProfile",
+    "operator_norm",
     "operator_norm_upper",
     "row_lengths",
 ]
@@ -152,7 +157,7 @@ class VectorSequence:
 
 
 # ---------------------------------------------------------------------------
-# Operator norm upper bounds (certified feasibility handles)
+# Operator norms: the table of upper bounds, and the witnessed sup
 
 
 @lru_cache(maxsize=None)
@@ -201,7 +206,7 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     lengths.  It is the norm itself from l1 (the largest column), from linf
     (sign enumeration), on l2 into l1 or l2, and into linf or c0 (the
     normality bound); elsewhere it interpolates through l2 and linf.
-    summing.operator_norm certifies a norming point against it.
+    operator_norm certifies a norming point against it.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2:
@@ -235,6 +240,58 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     return float(val) if one else val
 
 
+def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
+                  budget: OptBudget | None = None) -> Witnessed:
+    """sup of the scalar norm of Mx over the unit ball of dom, exact where a
+    norming point meets operator_norm_upper.
+
+    The points are those where the bound's closed forms are attained: the
+    top right singular vector, the basis, the sign vectors of an linf
+    domain, and the duality maps of the rows and of the signed row sums
+    (at most 6 rows, or 12 into lp(1)).  They are projected and scored in
+    one stacked call, and the first one that meets the bound is the "exact"
+    witness.  Otherwise a search over the ball, seeded with the singular
+    vector, the basis and the best other point, stops at the bound, "exact"
+    if it meets it and lower-of-sup if not.  Either result carries the bound
+    as certified_bound.
+    """
+    M = np.asarray(M, dtype=float)
+    e, d = M.shape
+    pts = []
+    try:
+        pts.append(np.linalg.svd(M)[2][:1])
+    except np.linalg.LinAlgError:
+        pass
+    pts.append(np.eye(d))
+    n_seeds = sum(len(P) for P in pts)
+    if math.isinf(dom.p) and d <= _SIGN_ENUM_LIMIT:
+        pts.append(_sign_vectors(d))
+    pts.append(_duality_maps(dom.p, M))
+    into_l1 = cod.family == "lp" and cod.p == 1.0
+    if 1 < e <= (_SIGN_ENUM_LIMIT if into_l1 else 6):
+        pts.append(_duality_maps(dom.p, _sign_vectors(e) @ M))
+    ball = dom.ball()
+
+    def objective(X):
+        return evaluate_norms(cod, X @ M.T)
+
+    P = ball.project(np.concatenate(pts))
+    vals = objective(P)
+    bound = operator_norm_upper(M, dom, cod)
+    hit = np.flatnonzero(optim.meets(vals, bound))
+    if hit.size:
+        i = int(hit[0])
+        return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
+                         converged=True, certified_bound=bound)
+    seeds = list(P[:n_seeds])
+    best = int(np.argmax(vals))
+    if best >= n_seeds:
+        # a second copy of a seed would only take a random restart's place
+        seeds.append(P[best])
+    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
+                                    target=bound)
+
+
 # ---------------------------------------------------------------------------
 # The four norms
 
@@ -251,51 +308,15 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _weak_seeds(A: np.ndarray, over: NormOracle, ball: Ball) -> list[np.ndarray]:
-    n, d = A.shape
-    seeds = [np.eye(d)[i] for i in range(d)]
-    if math.isinf(over.p) and d <= _SIGN_ENUM_LIMIT:
-        # the ball is the cube, and a convex function peaks at a vertex
-        seeds.extend(_sign_vectors(d))
-    for v in A:
-        if np.any(v):
-            seeds.append(_unit(v))
-    if n and d and np.any(A):
-        try:
-            _, _, vt = np.linalg.svd(A, full_matrices=False)
-            seeds.append(vt[0])
-        except np.linalg.LinAlgError:
-            pass
-    if 1 < n <= 6 and np.any(A):
-        for s in _sign_vectors(n):
-            v = s @ A
-            if np.any(v):
-                seeds.append(_unit(v))
-    return [ball.project(s) for s in seeds]
-
-
-def _weak_search(spec: SpaceSpec, A: np.ndarray, over: NormOracle,
-                 budget: OptBudget | None) -> Witnessed:
-    """sup of the scalar norm of (f(a_1), ..., f(a_n)) over the unit ball of
-    over; it stops at the norm bound of f -> (f(a_n))_n on over."""
-    ball = over.ball()
-
-    def objective(F):
-        return evaluate_norms(spec, (A @ F[..., None])[..., 0])
-
-    return optim.maximize_over_ball(objective, ball, budget=budget,
-                                    seeds=_weak_seeds(A, over, ball),
-                                    target=operator_norm_upper(A, over, spec))
-
-
 def weak_norm(spec: SpaceSpec, xs: VectorSequence,
               budget: OptBudget | None = None) -> Witnessed:
     """sup over the dual ball of the scalar norm of (f(x_1), ..., f(x_n)).
 
-    Witness is the functional f, reported as its coefficient vector.  The
-    search stops at weak_norm_upper, which the result carries.
+    It is the operator norm of the trace map on the dual ball.  Witness is
+    the functional f, reported as its coefficient vector; the result carries
+    weak_norm_upper as its certified bound.
     """
-    return _weak_search(spec, xs.vectors, xs.oracle.flip(), budget)
+    return operator_norm(xs.vectors, xs.oracle.flip(), spec, budget)
 
 
 def weak_norm_upper(spec: SpaceSpec, xs: VectorSequence) -> float:
@@ -316,7 +337,7 @@ def weak_star_norm(spec: SpaceSpec, fs: VectorSequence,
     its oracle; the search therefore runs over the primal unit ball, and
     stops at the bound of the trace map on fs's own oracle.
     """
-    return _weak_search(spec, fs.vectors, fs.oracle, budget)
+    return operator_norm(fs.vectors, fs.oracle, spec, budget)
 
 
 def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:

@@ -259,10 +259,11 @@ def sequential_sweep_search(objective, domain, x0, budget):
 
     The reference for the speculative poll of optim._sweep_search: each
     candidate is built, projected and scored on its own, as the one-row
-    stack C[i:i+1], and the sweep moves on at the first improvement.
+    stack C[i:i+1], and the sweep moves on at the first improvement.  x0 is
+    a point of the domain, and is scored as it is.
     Returns (best_x, best_f, converged, evals).
     """
-    x = domain.project(np.array(x0, dtype=float))
+    x = np.array(x0, dtype=float)
     best = float(objective(x[None])[0])
     if math.isnan(best):
         raise ValueError("objective returned NaN")
@@ -298,8 +299,8 @@ def sequential_run(objective, domain, budget, seeds=(), sign=1.0, target=None):
 
     The reference for the lockstep restarts of optim's searches.  The seeds
     are projected and scored one at a time; then, while the target is not
-    met, restart r runs sequential_sweep_search from seed r, or from a point
-    that domain.random_point draws from the generator of
+    met, restart r runs sequential_sweep_search from projected seed r, or
+    from the point that domain.random_point draws from the generator of
     SeedSequence(entropy=budget.seed, spawn_key=(r,)).  The best point is
     rescaled onto the sphere of the domain if that scores no worse, and
     rescored.  sign is 1 for a sup and -1 for an inf, target a certified
@@ -333,7 +334,7 @@ def sequential_run(objective, domain, budget, seeds=(), sign=1.0, target=None):
         else:
             rng = np.random.default_rng(
                 np.random.SeedSequence(entropy=budget.seed, spawn_key=(r,)))
-            x0 = domain.project(np.asarray(domain.random_point(rng), dtype=float))
+            x0 = np.asarray(domain.random_point(rng), dtype=float)
         x, val, conv, ev = sequential_sweep_search(f, domain, x0, budget)
         evals += ev
         flags.append(conv)

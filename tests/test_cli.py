@@ -78,21 +78,18 @@ def test_norm_command_malformed_seq_exit_2(capsys):
 _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
 
 
-@pytest.mark.parametrize("argv, env, want", [
-    (["vecnorm", "--kind", "mid", "--space", "lp:2", "--vectors", _VECTORS, "--m", "0"],
-     None, 2),
+@pytest.mark.parametrize("argv, want", [
+    (["vecnorm", "--kind", "mid", "--space", "lp:2", "--vectors", _VECTORS, "--m", "0"], 2),
     (["summing", "--kind", "pi", "--space", "lp:2", "--n", "0",
-      "--operator", '{"domain": "l2:1", "codomain": "l2:1", "rows": [[1.0]]}'], None, 2),
+      "--operator", '{"domain": "l2:1", "codomain": "l2:1", "rows": [[1.0]]}'], 2),
     (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS,
-      "--restarts", "0"], None, 2),
-    (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS],
-     "restarts=abc", 2),
-    (["verify", "--suite", "holder", "--trials", "0"], None, 2),
-    (["norm", "--space", "lp:nan", "--seq", "[1, 2]"], None, 3),
+      "--restarts", "0"], 2),
+    (["verify", "--suite", "holder", "--trials", "0"], 2),
+    (["norm", "--space", "lp:nan", "--seq", "[1, 2]"], 3),
     (["vecnorm", "--kind", "weak", "--space", "lp:2", "--vectors", _VECTORS,
-      "--seed", "-1"], None, 2),
+      "--seed", "-1"], 2),
     # valid JSON of the wrong shape; after --space-file stands the file's body
-    *[(["norm", "--space-file", body, "--seq", "[1, 2]"], None, 3) for body in (
+    *[(["norm", "--space-file", body, "--seq", "[1, 2]"], 3) for body in (
         '{"family": "lp", "params": {"p": "x"}}',
         '{"family": "lp", "params": {}}',
         '{"family": "garling_mu", "params": {"weights": "geometric:0.5"}}',
@@ -100,29 +97,27 @@ _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
         '{"family": "sargent_m", "params": {"weights": 5}}',
         '{"family": "lp", "params": []}')],
     (["vecnorm", "--kind", "weak", "--space", "lp:2",
-      "--vectors", '{"oracle": 5, "vectors": [[1]]}'], None, 2),
+      "--vectors", '{"oracle": 5, "vectors": [[1]]}'], 2),
     (["summing", "--kind", "pi", "--space", "lp:2",
-      "--operator", '{"domain": 2, "codomain": "l2:1", "rows": [[1.0]]}'], None, 2),
+      "--operator", '{"domain": 2, "codomain": "l2:1", "rows": [[1.0]]}'], 2),
     (["tensor", "--kind", "gamma", "--space", "lp:2",
-      "--tensor", '{"domain": null, "codomain": "l2:1", "entries": [[1.0]]}'], None, 2),
+      "--tensor", '{"domain": null, "codomain": "l2:1", "entries": [[1.0]]}'], 2),
     # a sequence is a flat JSON array
-    (["norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], None, 2),
-    (["norm", "--space", "lp:2", "--seq", "3"], None, 2),
-    (["norm", "--space", "lp:2", "--seq", "true"], None, 2),
-    (["dual-norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], None, 2),
+    (["norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], 2),
+    (["norm", "--space", "lp:2", "--seq", "3"], 2),
+    (["norm", "--space", "lp:2", "--seq", "true"], 2),
+    (["dual-norm", "--space", "lp:2", "--seq", "[[1,2],[3,4]]"], 2),
     # every part of a DSL space is read, and p= only by the decay families
-    *[(["norm", "--space", space, "--seq", "[1, 2]"], None, 3) for space in (
+    *[(["norm", "--space", space, "--seq", "[1, 2]"], 3) for space in (
         "lp:2:junk", "c0:foo", "orlicz:power:2:junk", "sargent_m:sqrt:p=2",
         "garling_mu:geometric:0.5:7:p=2")],
-], ids=["m-0", "n-0", "restarts-0", "env-restarts-abc", "trials-0", "lp-nan", "seed-negative",
+], ids=["m-0", "n-0", "restarts-0", "trials-0", "lp-nan", "seed-negative",
         "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
         "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null",
         "seq-2d", "seq-number", "seq-bool", "dual-seq-2d",
         "dsl-lp-extra", "dsl-c0-extra", "dsl-orlicz-extra", "dsl-sargent-p",
         "dsl-mu-extra-part"])
-def test_malformed_input_exits_2_or_3(argv, env, want, tmp_path, monkeypatch, capsys):
-    if env is not None:
-        monkeypatch.setenv("SEQSUM_BUDGET", env)
+def test_malformed_input_exits_2_or_3(argv, want, tmp_path, capsys):
     if "--space-file" in argv:
         i = argv.index("--space-file") + 1
         path = tmp_path / "space.json"
@@ -301,8 +296,7 @@ _INPUTS = {"norm": ["--seq", _SEQ], "dual-norm": ["--seq", _SEQ],
     *[("summing", k) for k in ("pi", "pi-mid", "w-mid")],
     *[("tensor", k) for k in ("gamma", "gamma-c", "injective")],
 ])
-def test_every_compute_reports_its_witnessed(sub, kind, tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("SEQSUM_BUDGET", raising=False)
+def test_every_compute_reports_its_witnessed(sub, kind, tmp_path, capsys):
     out_path = tmp_path / "report.json"
     argv = [sub, *(["--kind", kind] if kind else []), "--space", "lp:3", *_INPUTS[sub],
             "--restarts", "2", "--iterations", "40", "--out", str(out_path)]

@@ -37,7 +37,8 @@ def test_representation_reconstructs_exactly():
     rep = res.details["representation"]
     assert rep.residual(u) <= 1e-9
     dual = spaces.kothe_dual_spec(LP2)
-    assert res.value == pytest.approx(rep.cost(LP2, dual), rel=1e-12)
+    cost = sum(vn.strong_norm(LP2, xs) * vn.strong_norm(dual, ys) for xs, ys in rep.blocks)
+    assert res.value == pytest.approx(cost, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
