@@ -266,10 +266,11 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
     n_seeds = sum(len(P) for P in pts)
     if math.isinf(dom.p) and d <= _SIGN_ENUM_LIMIT:
         pts.append(_sign_vectors(d))
-    pts.append(_duality_maps(dom.p, M))
+    rows = M
     into_l1 = cod.family == "lp" and cod.p == 1.0
     if 1 < e <= (_SIGN_ENUM_LIMIT if into_l1 else 6):
-        pts.append(_duality_maps(dom.p, _sign_vectors(e) @ M))
+        rows = np.concatenate([M, _sign_vectors(e) @ M])
+    pts.append(_duality_maps(dom.p, rows))
     ball = dom.ball()
 
     def objective(X):
