@@ -26,11 +26,12 @@ target check, the evaluation count, the winner and the errors raised are
 those of that rule.
 
 Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
-of values, and Ball.project acts on the last axis of an array with any
-leading batch axes.  Row i of either result must not depend on the other
-rows, so a point scores the same bits alone or inside a stack.  Every unit
-ball of a gauge (a scalar norm, an oracle norm, an operator or handle bound)
-is built by gauge_ball from a stacked gauge (..., dim) -> (...).
+of values, and Ball.project and Ball.membership act on the last axis of an
+array with any leading batch axes.  Row i of any of these results must not
+depend on the other rows, so a point scores, projects and tests the same
+alone or inside a stack; the seeds are tested and projected as one stack.
+Every unit ball of a gauge (a scalar norm, an oracle norm, an operator or
+handle bound) is built by gauge_ball from a stacked gauge (..., dim) -> (...).
 """
 
 from __future__ import annotations
@@ -119,11 +120,11 @@ def meets(value, target):
 class Ball:
     """Search domain with a feasibility projection.
 
-    project must be idempotent and land inside the feasible set; it acts on
+    project must be idempotent and land inside the feasible set.  membership
+    is the ground-truth feasibility test, a bool for each point.  Both act on
     the last axis, row by row, of a point or a stack of points.  random_point
     returns a point that is projected already, since the search starts from
-    it as it is.  membership is the ground-truth test used to certify one
-    witness.  to_boundary, when set, rescales a nonzero point onto the unit
+    it as it is.  to_boundary, when set, rescales a nonzero point onto the unit
     sphere of the domain; the search polishes its best point with it, and
     keeps the rescaled point only if it scores at least as well.
     """
@@ -141,7 +142,8 @@ def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) 
 
     project divides each point by max(gauge, 1), to_boundary divides a
     nonzero point by its gauge, membership allows 1e-9 of float drift, and
-    random_point projects a standard normal.
+    random_point projects a standard normal.  project and membership take a
+    point or a stack, as the gauge does.
     """
 
     def project(V):
@@ -154,7 +156,7 @@ def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) 
     return Ball(
         dim=dim,
         project=project,
-        membership=lambda v: float(gauge(v)) <= 1.0 + 1e-9,
+        membership=lambda V: gauge(V) <= 1.0 + 1e-9,
         random_point=lambda rng: project(rng.standard_normal(dim)),
         to_boundary=to_boundary,
         label=label,
@@ -166,7 +168,7 @@ def free_domain(dim: int, scale: float = 1.0, label: str = "free") -> Ball:
     return Ball(
         dim=dim,
         project=lambda v: v,
-        membership=lambda v: bool(np.all(np.isfinite(v))),
+        membership=lambda V: np.all(np.isfinite(V), axis=-1),
         random_point=lambda rng: scale * rng.standard_normal(dim),
         label=label,
     )
@@ -186,7 +188,8 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
                               axis=-1)
 
     def membership(v):
-        return all(b.membership(piece) for b, piece in zip(parts, split(v)))
+        return np.logical_and.reduce([b.membership(piece)
+                                      for b, piece in zip(parts, split(v))])
 
     def random_point(rng):
         return np.concatenate([b.random_point(rng) for b in parts])
@@ -365,7 +368,6 @@ def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
 def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
          target: float | None = None):
     budget = budget or OptBudget()
-    seeds = list(seeds or [])
     if domain.dim == 0:
         val = sign * float(_score(objective, np.zeros((1, 0)))[0])
         return np.zeros(0), val, True, {"evals": 1, "restarts": 0}
@@ -373,18 +375,20 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     def f(V):
         return sign * np.asarray(objective(V), dtype=float)
 
-    prepared = []
-    for s in seeds:
-        arr = np.asarray(s, dtype=float).ravel()
+    rows = [np.asarray(s, dtype=float).ravel() for s in ([] if seeds is None else seeds)]
+    for i, arr in enumerate(rows):
         if arr.shape != (domain.dim,) or not np.all(np.isfinite(arr)):
             raise InfeasibleSeedError(
-                f"seed of shape {arr.shape} unusable for {domain.label} (dim {domain.dim})"
+                f"seed {i} of shape {arr.shape} unusable for {domain.label} (dim {domain.dim})"
             )
-        if not domain.membership(arr):
-            raise InfeasibleSeedError(f"seed fails membership in {domain.label}")
+    prepared = np.stack(rows) if rows else np.zeros((0, domain.dim))
+    if rows:
+        failed = np.flatnonzero(~np.asarray(domain.membership(prepared)))
+        if failed.size:
+            raise InfeasibleSeedError(f"seed {failed[0]} fails membership in {domain.label}")
         # projection only cleans up float drift; feasibility was checked raw so
         # the seed-domination guarantee refers to the caller's point
-        prepared.append(domain.project(arr))
+        prepared = domain.project(prepared)
 
     best_x, best_f = None, -math.inf
     # index of the restart the witness came from; a seed counts as the
@@ -393,8 +397,8 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     total_evals = 0
     # every seed is scored as-is up front, so the final value can never fall
     # below the best seed even if every restart wanders off
-    if prepared:
-        vals = _score(f, np.stack(prepared))
+    if len(prepared):
+        vals = _score(f, prepared)
         total_evals += len(prepared)
         for i, val in enumerate(vals):
             if val > best_f:

@@ -711,7 +711,7 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
                 # best family-sharp maximizer; for most families it attains
                 # the closed-form value exactly
                 ball = space_ball(spec, beta.size)
-                cands = [ball.project(s) for s in _pairing_seeds(spec, beta)]
+                cands = ball.project(np.stack(_pairing_seeds(spec, beta)))
                 witness = max(cands,
                               key=lambda a: float(np.sum(np.abs(a * beta))))
             else:
@@ -728,7 +728,7 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
     def objective(alphas):
         return np.abs(alphas * beta).sum(axis=-1)
 
-    seeds = [ball.project(s) for s in _pairing_seeds(spec, beta)]
+    seeds = ball.project(np.stack(_pairing_seeds(spec, beta)))
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds)
 
 

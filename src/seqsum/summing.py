@@ -111,7 +111,7 @@ def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
 # Test sequences
 
 
-def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:
+def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> np.ndarray:
     M = T.entries
     d = T.domain.dim
     seeds = []
@@ -134,7 +134,7 @@ def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> list[np.ndarray]:
         for i in range(d):
             scaled[i, i] = 1.0
         seeds.append(scaled.ravel() / math.sqrt(d))
-    return [ball.project(s) for s in seeds]
+    return ball.project(np.stack(seeds))
 
 
 def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
@@ -267,8 +267,9 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     if m >= e:
         ops.append(np.eye(m, e))
     xs_seeds = _sequence_seeds(T, n, xs_ball)
-    seeds = [np.concatenate([op_ball.project(S.ravel()), xs_seed])
-             for S in ops for xs_seed in xs_seeds]
+    seeds = [np.concatenate([S, xs_seed])
+             for S in op_ball.project(np.stack([S.ravel() for S in ops]))
+             for xs_seed in xs_seeds]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
                                    target=_summing_upper(spec, T))
     res.details["truncation"] = m

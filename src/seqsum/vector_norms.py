@@ -360,26 +360,28 @@ def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
         T0 = np.zeros((m, d))
         T0[0] = weak_witness / c
         seeds.append(T0.ravel())
+    # the rest are projected onto the ball, as one stack
+    cands = []
     rows = [_unit(v) for v in A[: m] if np.any(v)]
     if rows:
         T = np.zeros((m, d))
         for i, r in enumerate(rows):
             T[i] = r
-        seeds.append(ball.project(T.ravel()))
+        cands.append(T.ravel())
     eye = np.zeros((m, d))
     for i in range(min(m, d)):
         eye[i, i] = 1.0
-    seeds.append(ball.project(eye.ravel()))
+    cands.append(eye.ravel())
     if n and np.any(A):
         try:
             _, _, vt = np.linalg.svd(A, full_matrices=False)
             T = np.zeros((m, d))
             k = min(m, vt.shape[0])
             T[:k] = vt[:k]
-            seeds.append(ball.project(T.ravel()))
+            cands.append(T.ravel())
         except np.linalg.LinAlgError:
             pass
-    return seeds
+    return seeds + list(ball.project(np.stack(cands)))
 
 
 def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,

@@ -19,7 +19,7 @@ def l2_ball(dim):
     return Ball(
         dim=dim,
         project=project,
-        membership=lambda v: float(np.linalg.norm(v)) <= 1.0 + 1e-9,
+        membership=lambda v: np.linalg.norm(v, axis=-1) <= 1.0 + 1e-9,
         random_point=lambda rng: project(rng.standard_normal(dim)),
         to_boundary=lambda v: v / max(float(np.linalg.norm(v)), 1e-300),
         label="l2-ball",
