@@ -125,15 +125,9 @@ def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> np.ndarray:
     seeds.append(single.ravel())
     rep = np.tile(top, (n, 1))
     seeds.append(rep.ravel())
-    basis = np.zeros((n, d))
-    for i in range(min(n, d)):
-        basis[i, i] = 1.0
-    seeds.append(basis.ravel())
+    seeds.append(np.eye(n, d).ravel())
     if n >= d and d > 1:
-        scaled = np.zeros((n, d))
-        for i in range(d):
-            scaled[i, i] = 1.0
-        seeds.append(scaled.ravel() / math.sqrt(d))
+        seeds.append(np.eye(n, d).ravel() / math.sqrt(d))
     return ball.project(np.stack(seeds))
 
 
@@ -267,9 +261,8 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     if m >= e:
         ops.append(np.eye(m, e))
     xs_seeds = _sequence_seeds(T, n, xs_ball)
-    seeds = [np.concatenate([S, xs_seed])
-             for S in op_ball.project(np.stack([S.ravel() for S in ops]))
-             for xs_seed in xs_seeds]
+    op_seeds = op_ball.project(np.stack([S.ravel() for S in ops]))
+    seeds = [np.concatenate([S, xs_seed]) for S in op_seeds for xs_seed in xs_seeds]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
                                    target=_summing_upper(spec, T))
     res.details["truncation"] = m

@@ -248,42 +248,51 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
     The points are those where the bound's closed forms are attained: the
     top right singular vector, the basis, the sign vectors of an linf
     domain, and the duality maps of the rows and of the signed row sums
-    (at most 6 rows, or 12 into lp(1)).  They are projected and scored in
-    one stacked call, and the first one that meets the bound is the "exact"
-    witness.  Otherwise a search over the ball, seeded with the singular
-    vector, the basis and the best other point, stops at the bound, "exact"
-    if it meets it and lower-of-sup if not.  Either result carries the bound
-    as certified_bound.
+    (at most 6 rows, or 12 into lp(1)).  The singular vector is scored
+    first; the others are built, projected and scored in one stacked call
+    only if it misses the bound.  The first point that meets the bound is
+    the "exact" witness.  Otherwise a search over the ball, seeded with the
+    singular vector, the basis and the best other point, stops at the bound,
+    "exact" if it meets it and lower-of-sup if not.  Either result carries
+    the bound as certified_bound.
     """
     M = np.asarray(M, dtype=float)
     e, d = M.shape
-    pts = []
-    try:
-        pts.append(np.linalg.svd(M)[2][:1])
-    except np.linalg.LinAlgError:
-        pass
-    pts.append(np.eye(d))
-    n_seeds = sum(len(P) for P in pts)
-    if math.isinf(dom.p) and d <= _SIGN_ENUM_LIMIT:
-        pts.append(_sign_vectors(d))
-    rows = M
-    into_l1 = cod.family == "lp" and cod.p == 1.0
-    if 1 < e <= (_SIGN_ENUM_LIMIT if into_l1 else 6):
-        rows = np.concatenate([M, _sign_vectors(e) @ M])
-    pts.append(_duality_maps(dom.p, rows))
     ball = dom.ball()
+    bound = operator_norm_upper(M, dom, cod)
 
     def objective(X):
-        return evaluate_norms(cod, X @ M.T)
+        # one product per row, so that a row scores the same bits in any stack
+        return evaluate_norms(cod, (M @ X[..., None])[..., 0])
 
-    P = ball.project(np.concatenate(pts))
-    vals = objective(P)
-    bound = operator_norm_upper(M, dom, cod)
-    hit = np.flatnonzero(optim.meets(vals, bound))
-    if hit.size:
-        i = int(hit[0])
-        return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
-                         converged=True, certified_bound=bound)
+    def norming_points():
+        try:
+            yield np.linalg.svd(M)[2][:1]
+        except np.linalg.LinAlgError:
+            pass
+        pts = [np.eye(d)]
+        if math.isinf(dom.p) and d <= _SIGN_ENUM_LIMIT:
+            pts.append(_sign_vectors(d))
+        rows = M
+        into_l1 = cod.family == "lp" and cod.p == 1.0
+        if 1 < e <= (_SIGN_ENUM_LIMIT if into_l1 else 6):
+            rows = np.concatenate([M, _sign_vectors(e) @ M])
+        pts.append(_duality_maps(dom.p, rows))
+        yield np.concatenate(pts)
+
+    blocks = []
+    for C in norming_points():
+        P = ball.project(C)
+        vals = objective(P)
+        hit = np.flatnonzero(optim.meets(vals, bound))
+        if hit.size:
+            i = int(hit[0])
+            return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
+                             converged=True, certified_bound=bound)
+        blocks.append((P, vals))
+    # the seeds: the singular vector, when the SVD ran, and the basis
+    n_seeds = len(blocks) - 1 + d
+    P, vals = (np.concatenate(parts) for parts in zip(*blocks))
     seeds = list(P[:n_seeds])
     best = int(np.argmax(vals))
     if best >= n_seeds:
@@ -365,13 +374,9 @@ def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
     rows = [_unit(v) for v in A[: m] if np.any(v)]
     if rows:
         T = np.zeros((m, d))
-        for i, r in enumerate(rows):
-            T[i] = r
+        T[: len(rows)] = rows
         cands.append(T.ravel())
-    eye = np.zeros((m, d))
-    for i in range(min(m, d)):
-        eye[i, i] = 1.0
-    cands.append(eye.ravel())
+    cands.append(np.eye(m, d).ravel())
     if n and np.any(A):
         try:
             _, _, vt = np.linalg.svd(A, full_matrices=False)

@@ -2,11 +2,14 @@
 
 import math
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from seqsum import optim, spaces, tensor, vector_norms as vn
+from seqsum import optim, spaces, summing, tensor, vector_norms as vn
 from seqsum.optim import Ball, InfeasibleSeedError, OptBudget
 from seqsum.spaces import OrliczFunction, WeightSeq
 
@@ -214,6 +217,23 @@ def test_infeasible_seeds_rejected():
                                  seeds=[np.array([5.0, 5.0])])
 
 
+def test_a_bad_seed_among_several_names_its_index():
+    # the seeds are tested as one stack; the error names the first that fails
+    budget = OptBudget(restarts=1, iterations=5)
+    unit = [np.array([1.0, 0.0]), np.array([0.0, -0.5])]
+    cases = [
+        (l2_ball(2), unit + [np.array([5.0, 5.0])], 2),
+        (l2_ball(2), [unit[0], np.array([3.0, 4.0]), unit[1]], 1),
+        (l2_ball(2), unit + [np.zeros(3)], 2),
+        (l2_ball(2), [np.array([math.inf, 0.0])] + unit, 0),
+        (spaces.space_ball(spaces.lp(1), 2), unit + [np.array([0.6, 0.6])], 2),
+    ]
+    for ball, seeds, index in cases:
+        with pytest.raises(InfeasibleSeedError, match=f"^seed {index} "):
+            optim.maximize_over_ball(lambda F: np.zeros(len(F)), ball, budget=budget,
+                                     seeds=seeds)
+
+
 def test_nan_objective_raises():
     with pytest.raises(ValueError):
         optim.maximize_over_ball(lambda F: np.full(len(F), math.nan), l2_ball(2),
@@ -264,6 +284,24 @@ def test_concat_domain_slices():
     w = dom.project(np.array([3.0, 4.0, 2.0, -2.0, 2.0]))
     assert float(np.linalg.norm(w[:2])) <= 1.0 + 1e-9
     assert float(np.sum(np.abs(w[2:]))) <= 1.0 + 1e-9
+
+
+def test_free_and_concat_membership_is_stacked():
+    # row by row, a stack tests as its points do one at a time
+    free = optim.free_domain(3)
+    X = np.array([[0.0, 1.0, -2.0], [math.nan, 0.0, 0.0],
+                  [1.0, math.inf, 0.0], [1e300, -1e300, 0.0]])
+    assert free.membership(X).tolist() == [True, False, False, True]
+    assert [free.membership(x) for x in X] == [True, False, False, True]
+    assert free.membership(X.reshape(2, 2, 3)).tolist() == [[True, False], [False, True]]
+    joint = optim.concat_domain([l2_ball(2), spaces.space_ball(spaces.lp(1), 3)])
+    V = np.array([[0.6, 0.8, 0.2, -0.3, 0.5],  # both parts inside
+                  [3.0, 4.0, 0.1, 0.1, 0.1],   # the first part outside
+                  [0.0, 0.1, 1.0, 1.0, 0.0],   # the second part outside
+                  [1.0, 1.0, 2.0, 0.0, 0.0]])  # both outside
+    assert joint.membership(V).tolist() == [True, False, False, False]
+    assert [joint.membership(v) for v in V] == [True, False, False, False]
+    assert [joint.membership(v[None])[0] for v in V] == [True, False, False, False]
 
 
 def _mid_objective(A, spec, m, d):
@@ -463,6 +501,40 @@ def test_lockstep_falls_back_per_restart_when_the_stack_raises():
                        OptBudget(restarts=3, iterations=30, min_step=1e-3), seeds)
 
 
+def _searches_of(run):
+    """Run run() and return the searches it starts, as (objective, domain,
+    keyword arguments) in the order they start."""
+    found = []
+
+    def capture(search):
+        def wrapped(objective, domain, **kwargs):
+            found.append((objective, domain, kwargs))
+            return search(objective, domain, **kwargs)
+        return wrapped
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("maximize_over_ball", "minimize_over_family"):
+            mp.setattr(optim, name, capture(getattr(optim, name)))
+        run()
+    return found
+
+
+def test_lockstep_keeps_the_sequential_results_of_the_operator_norm_fallback():
+    # the weak search over l2 into lp(3), where the norming points miss the
+    # bound: each draw that searches replays the restarts run one after another
+    rng = np.random.default_rng(73)
+    dom, cod, budget = None, spaces.lp(3), OptBudget(restarts=3, iterations=100)
+    searched = 0
+    for _ in range(10):
+        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
+        M, dom = rng.standard_normal((n, d)), vn.lp_oracle(2, d)
+        for objective, ball, kwargs in _searches_of(lambda: vn.operator_norm(M, dom, cod,
+                                                                            budget)):
+            _assert_sequential(objective, ball, budget, kwargs["seeds"], kwargs["target"])
+            searched += 1
+    assert searched >= 5
+
+
 # ---------------------------------------------------------------------------
 # the gauge-ball contract, for every ball of a gauge the library builds
 
@@ -535,3 +607,68 @@ def test_gauge_ball_contract(make):
             assert gauge(ball.to_boundary(x)) == pytest.approx(1.0, abs=1e-12)
     for _ in range(5):
         assert ball.membership(ball.random_point(rng))
+    # membership is stacked too: inside, outside and on the sphere, each row
+    # tests as the point does alone
+    Y = np.concatenate([X, P, P * (1.0 + 1e-6)])
+    inside = ball.membership(Y)
+    assert inside.shape == (len(Y),) and inside[len(X): 2 * len(X)].all()
+    for y, hit in zip(Y, inside):
+        assert ball.membership(y) == hit and ball.membership(y[None])[0] == hit
+
+
+# ---------------------------------------------------------------------------
+# the stack contract, for the objective and the domain of every library search
+
+SMALL = OptBudget(restarts=2, iterations=20)
+
+
+def _library_calls():
+    rng = np.random.default_rng(67)
+    l2_3, lp3 = vn.lp_oracle(2, 3), spaces.lp(3)
+    A = rng.standard_normal((4, 3))
+    T = summing.OperatorMatrix(vn.lp_oracle(2, 2), vn.lp_oracle(3, 3),
+                               rng.standard_normal((3, 2)))
+    u = tensor.Tensor(vn.lp_oracle(2, 2), vn.lp_oracle(1.5, 3), rng.standard_normal((2, 3)))
+    beta = rng.standard_normal(4)
+    scale = [spaces.lp(1.5), spaces.garling_mu(GEOM, 2.0), spaces.garling_nu(GEOM, 1.5),
+             spaces.sargent_m(WeightSeq(tail="sqrt")),
+             spaces.orlicz(OrliczFunction("power_log", 1.5))]
+    return {
+        "weak": lambda: vn.weak_norm(lp3, vn.VectorSequence(l2_3, A), SMALL),
+        "operator_norm": lambda: vn.operator_norm(A, l2_3, lp3, SMALL),
+        "mid": lambda: vn.mid_norm(lp3, vn.VectorSequence(l2_3, A), m=2, budget=SMALL),
+        "pi": lambda: summing.pi_lambda(spaces.lp(1.5), T, n=3, budget=SMALL),
+        "w_mid": lambda: summing.w_lambda_mid(spaces.lp(1.5), T, n=3, m=2, budget=SMALL),
+        "gamma": lambda: tensor.gamma_lambda(spaces.lp(2), u, budget=SMALL),
+        "gamma_c": lambda: tensor.gamma_lambda_c(spaces.lp(2), u, blocks=2, budget=SMALL),
+        "dual_norm": lambda: [spaces.dual_norm(spec, beta, SMALL, method="optimize")
+                              for spec in scale],
+    }
+
+
+@lru_cache(maxsize=None)
+def _library_searches(name):
+    found = _searches_of(_library_calls()[name])
+    assert found, f"{name} ran no search"
+    return [(objective, domain) for objective, domain, _ in found]
+
+
+@pytest.mark.parametrize("name", list(_library_calls()))
+@settings(max_examples=8, deadline=None)
+@given(draw=st.integers(0, 2**32 - 1))
+def test_every_library_search_keeps_the_stack_contract(name, draw):
+    # row i of a random (K, dim) stack scores, projects and tests the same
+    # bits alone, as the one-row stack that the one-at-a-time poll makes, as
+    # inside the stack
+    rng = np.random.default_rng(draw)
+    for objective, domain in _library_searches(name):
+        k = int(rng.integers(2, 9))
+        X = rng.standard_normal((k, domain.dim)) * 10.0 ** rng.uniform(-1.5, 1.5, (k, 1))
+        P = domain.project(X)
+        F = np.asarray(objective(P))
+        inside = domain.membership(X)
+        for i in range(k):
+            one = slice(i, i + 1)
+            assert np.array_equal(np.asarray(objective(P[one])), F[one], equal_nan=True)
+            assert np.array_equal(domain.project(X[one]), P[one])
+            assert np.array_equal(domain.membership(X[one]), inside[one])

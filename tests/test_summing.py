@@ -306,6 +306,37 @@ def test_pi_mid_is_a_lower_bound_where_mid_is_below_strong():
 # w_lambda_mid
 
 
+@pytest.mark.parametrize("n, m, n_seeds", [(1, 1, 3), (1, 3, 6), (3, 3, 8)])
+def test_w_mid_prepares_its_seeds_in_a_fixed_number_of_gauge_calls(monkeypatch, n, m,
+                                                                   n_seeds):
+    # a rank-one T on l2:3 -> l2:3: the first sequence seed meets the bound,
+    # so no restart runs and every gauge call prepares the seeds.  Each of
+    # the six is one stacked call, whatever the number of seeds: projecting
+    # the sequence seeds and the operator seeds, and testing and projecting
+    # both parts of the joint seeds.
+    calls = []
+    upper = vn.operator_norm_upper
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return upper(*args, **kwargs)
+
+    monkeypatch.setattr(vn, "operator_norm_upper", counted)
+    run = optim.maximize_over_ball
+
+    def search(objective, domain, budget=None, seeds=None, target=None):
+        assert len(seeds) == n_seeds
+        return run(objective, domain, budget=budget, seeds=seeds, target=target)
+
+    monkeypatch.setattr(optim, "maximize_over_ball", search)
+    rng = np.random.default_rng(62)
+    l2 = vn.lp_oracle(2, 3)
+    T = summing.rank_one_operator(l2, l2, rng.standard_normal(3), rng.standard_normal(3))
+    res = summing.w_lambda_mid(LP2, T, n=n, m=m, budget=LIGHT)
+    assert res.bound_direction == "exact" and res.details["restarts_run"] == 0
+    assert len(calls) == 6
+
+
 def test_w_mid_identity_scalar():
     T = op([[1.0]], dom="l2:1", cod="l2:1")
     res = summing.w_lambda_mid(spaces.lp(1), T, n=2, m=1, budget=LIGHT)
