@@ -131,7 +131,7 @@ class Ball:
 
     dim: int
     project: Callable[[np.ndarray], np.ndarray]
-    membership: Callable[[np.ndarray], bool]
+    membership: Callable[[np.ndarray], np.ndarray]
     random_point: Callable[[np.random.Generator], np.ndarray]
     to_boundary: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "domain"

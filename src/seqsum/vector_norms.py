@@ -369,7 +369,7 @@ def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
         T0 = np.zeros((m, d))
         T0[0] = weak_witness / c
         seeds.append(T0.ravel())
-    # the rest are projected onto the ball, as one stack
+    # the rank-one seed is feasible as it is; the rest are projected, as one stack
     cands = []
     rows = [_unit(v) for v in A[: m] if np.any(v)]
     if rows:
