@@ -1,7 +1,6 @@
 """Search-driver behaviour: witnesses, seeds, determinism, failure modes."""
 
 import math
-
 from functools import lru_cache
 
 import numpy as np
@@ -523,7 +522,7 @@ def test_lockstep_keeps_the_sequential_results_of_the_operator_norm_fallback():
     # the weak search over l2 into lp(3), where the norming points miss the
     # bound: each draw that searches replays the restarts run one after another
     rng = np.random.default_rng(73)
-    dom, cod, budget = None, spaces.lp(3), OptBudget(restarts=3, iterations=100)
+    cod, budget = spaces.lp(3), OptBudget(restarts=3, iterations=100)
     searched = 0
     for _ in range(10):
         n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
