@@ -526,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
                    required=True)
     p.add_argument("--tensor", required=True,
                    help='JSON {"domain": "l2:2", "codomain": "l2:2", "entries": [...]}')
-    p.add_argument("--blocks", type=int, default=3)
+    p.add_argument("--blocks", type=int, default=3,
+                   help="gamma-c searches representations of blocks x min(d, e) terms")
 
     p = sub.add_parser("verify", help="run invariant suites")
     common(p, space=False)

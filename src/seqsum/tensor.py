@@ -3,8 +3,9 @@
 A d x e matrix of coefficients stands for an element of the algebraic tensor
 product of two oracle spaces.  The projective-style quasi-norm is an infimum
 of representation costs (strong factor times a dual-space factor) over exact
-factorizations; its convexified variant runs over multi-block
-representations.  Both are witness-certified upper bounds, each carrying a
+factorizations in min(d, e) terms; its convexified variant is the same
+search over blocks x min(d, e) terms, started from the first one's witness.
+Both are witness-certified upper bounds, each carrying a
 certified lower bound by trace duality, which on Hilbert factors is the
 norm itself.  The injective norm, the operator norm of the coefficients
 from the second factor's dual into the first, is the certified lower
@@ -112,22 +113,16 @@ def _require_reconstructs(rep: Representation, u: Tensor):
 
 
 def _base_factors(E: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
-    """Balanced rank-r factorization X0^T Y0 = E from the SVD (deterministic).
-
-    E may be a stack of matrices along leading axes.
-    """
-    d, e = E.shape[-2:]
-    P, s, Qt = np.linalg.svd(E)
+    """Balanced factorization X0^T Y0 = E from the SVD (deterministic), in
+    r >= min(d, e) terms; the terms past min(d, e) are zero."""
+    d, e = E.shape
     k = min(d, e)
-    tol = _RESIDUAL_TOL * np.abs(E).max(axis=(-2, -1))[..., None]
-    if r < k and np.any(s[..., r:] > tol):
-        raise ValueError(f"rank budget {r} cannot reconstruct a rank-{int(np.max(np.sum(s > tol, axis=-1)))} tensor")
-    t = min(r, k)
-    root = np.sqrt(s[..., :t])
-    X0 = np.zeros(E.shape[:-2] + (r, d))
-    Y0 = np.zeros(E.shape[:-2] + (r, e))
-    X0[..., :t, :] = np.swapaxes(P[..., :, :t] * root[..., None, :], -1, -2)
-    Y0[..., :t, :] = root[..., :, None] * Qt[..., :t, :]
+    P, s, Qt = np.linalg.svd(E)
+    root = np.sqrt(s)
+    X0 = np.zeros((r, d))
+    Y0 = np.zeros((r, e))
+    X0[:k] = (P[:, :k] * root).T
+    Y0[:k] = root[:, None] * Qt[:k]
     return X0, Y0
 
 
@@ -144,10 +139,10 @@ def _mixed_block(X0: np.ndarray, Y0: np.ndarray, V: np.ndarray):
         Xm = np.linalg.solve(At, X0)
     except np.linalg.LinAlgError:
         # one singular mixing fails the whole stacked solve
-        Xm = np.full(A.shape[:-2] + X0.shape[-2:], math.nan)
+        Xm = np.full(A.shape[:-2] + X0.shape, math.nan)
         for i in np.ndindex(A.shape[:-2]):
             try:
-                Xm[i] = np.linalg.solve(At[i], X0[i] if X0.ndim > 2 else X0)
+                Xm[i] = np.linalg.solve(At[i], X0)
             except np.linalg.LinAlgError:
                 pass
     Ym = A @ Y0
@@ -188,99 +183,89 @@ def _projective_lower(u: Tensor) -> float:
     return best
 
 
-def gamma_lambda(spec: SpaceSpec, u: Tensor, r: int | None = None,
-                 budget: OptBudget | None = None) -> Witnessed:
-    """Single-block representation cost, minimized over exact factorizations.
+def _cheapest_representation(spec: SpaceSpec, u: Tensor, r: int, seed,
+                              budget: OptBudget | None) -> Witnessed:
+    """Cheapest r-term representation over the mixings I+V of the SVD base.
 
-    The reported value uses the certified cost strong(spec) x strong(dual
-    spec) and is a true upper bound.  The search stops at the trace-duality
-    lower bound, carried as certified_bound; a value that meets it is
-    "exact", as on Hilbert factors with spec lp(2), where the SVD seed
-    attains it.
+    seed is the k x k mixing to start from, k = min(d, e).  Only the first k
+    terms of the base are nonzero, so right-multiplying the last r - k
+    columns of I+V by an invertible H changes no term.  With H the inverse
+    of the lower-right block of I+V, that block becomes I; so V's
+    lower-right (r - k) x (r - k) block is held at 0 and the search runs
+    over the rest.
+    The value is the certified cost strong(spec) x strong(dual spec); the
+    search stops at the trace-duality lower bound, carried as
+    certified_bound, and a value that meets it is "exact".
     """
     dual_spec = _require_dual(spec)
     E = u.entries
     if not np.any(E):
         return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
                          converged=True, certified_bound=0.0)
-    r = r if r is not None else min(E.shape)
+    k = min(E.shape)
     X0, Y0 = _base_factors(E, r)
+    free = np.ones((r, r), dtype=bool)
+    free[k:, k:] = False
+
+    def mixing(flat):
+        V = np.zeros(flat.shape[:-1] + (r, r))
+        V[..., free] = flat
+        return V
 
     def objective(flat):
-        Xm, Ym, ok = _mixed_block(X0, Y0, flat.reshape(flat.shape[:-1] + (r, r)))
+        Xm, Ym, ok = _mixed_block(X0, Y0, mixing(flat))
         return np.where(ok, _block_cost(spec, dual_spec, u, Xm, Ym), math.inf)
 
-    domain = optim.free_domain(r * r, scale=0.4, label="mixing")
-    seeds = [np.zeros(r * r)]
-    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=seeds,
+    start = np.zeros((r, r))
+    start[:k, :k] = np.reshape(seed, (k, k))
+    domain = optim.free_domain(int(free.sum()), scale=0.4, label="mixing")
+    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[start[free]],
                                      target=_projective_lower(u))
-    mixed = _mixed_block(X0, Y0, res.witness.reshape(r, r))
-    rep = Representation(blocks=(
-        (VectorSequence(u.domain, mixed[0]), VectorSequence(u.codomain, mixed[1])),
-    ))
+    Xm, Ym, _ = _mixed_block(X0, Y0, mixing(res.witness))
+    rep = Representation(blocks=((VectorSequence(u.domain, Xm),
+                                  VectorSequence(u.codomain, Ym)),))
     _require_reconstructs(rep, u)
     res.details["representation"] = rep
     return res
+
+
+def gamma_lambda(spec: SpaceSpec, u: Tensor, budget: OptBudget | None = None) -> Witnessed:
+    """Representation cost in k = min(d, e) terms, minimized over exact
+    factorizations.
+
+    The search starts at the SVD factorization itself (a zero mixing).  The
+    reported value uses the certified cost strong(spec) x strong(dual spec)
+    and is a true upper bound.  The search stops at the trace-duality lower
+    bound, carried as certified_bound; a value that meets it is "exact", as
+    on Hilbert factors with spec lp(2), where the SVD seed attains it.  The
+    witness is the flat k x k mixing; the representation is one block of k
+    terms.
+    """
+    k = min(u.entries.shape)
+    return _cheapest_representation(spec, u, k, np.zeros(k * k), budget)
 
 
 def gamma_lambda_c(spec: SpaceSpec, u: Tensor, blocks: int = 3,
                    budget: OptBudget | None = None,
                    single_block: Witnessed | None = None) -> Witnessed:
-    """Convexified representation cost over multi-block splits.
+    """Convexified representation cost: gamma_lambda's search over
+    blocks x min(d, e) terms.
 
-    Free parameters: the first blocks-1 coefficient matrices (each factorized
-    by its own balanced SVD) plus a mixing matrix for the last block, which
-    absorbs the remainder so reconstruction stays exact; each block has
-    r = min(d, e) terms.  Seeded with the single-block solution (computed
-    here when not passed in), so the value never exceeds it beyond float
-    noise.  Stops at the same certified lower bound as gamma_lambda.
+    Any sum of `blocks` representations of k = min(d, e) terms is one exact
+    factorization in blocks x k terms (Ryan 2002, sections 2.2-2.3), so the
+    search runs over those directly.  It starts at the gamma_lambda witness
+    (computed here when single_block is not passed) in the top-left k x k
+    corner of the mixing, which is the same representation, so the value
+    never exceeds gamma_lambda's beyond float noise.  It stops at the same
+    certified lower bound.  The representation is one block of blocks x k
+    terms.
     """
-    dual_spec = _require_dual(spec)
-    E = u.entries
-    d, e = E.shape
-    if not np.any(E):
-        return Witnessed(value=0.0, witness=np.zeros(0), bound_direction="exact",
-                         converged=True, certified_bound=0.0)
     if blocks < 1:
         raise ValueError("need at least one block")
-    r = min(d, e)
     if single_block is None:
         single_block = gamma_lambda(spec, u, budget=budget)
-    B = blocks
-    free = (B - 1) * d * e
-
-    def block_pieces(flat):
-        """Factors of the free blocks, stacked on the block axis, and of the last."""
-        lead = flat.shape[:-1]
-        Ws = flat[..., :free].reshape(lead + (B - 1, d, e))
-        V = flat[..., free:].reshape(lead + (r, r))
-        X0, Y0 = _base_factors(E - Ws.sum(axis=-3), r)
-        return _base_factors(Ws, min(d, e)), _mixed_block(X0, Y0, V)
-
-    def objective(flat):
-        (Xb, Yb), (Xm, Ym, ok) = block_pieces(flat)
-        # a zero free block has zero factors and adds nothing to the cost
-        cost = _block_cost(spec, dual_spec, u, Xb, Yb).sum(axis=-1)
-        return np.where(ok, cost + _block_cost(spec, dual_spec, u, Xm, Ym), math.inf)
-
-    domain = optim.free_domain(free + r * r, scale=0.3, label="blocks")
-    seed = np.zeros(free + r * r)
-    # a single block of fewer than r terms, as gamma_lambda(r=1) gives, has
-    # no r x r mixing to start from
-    if single_block.witness is not None and single_block.witness.size == r * r:
-        seed[free:] = single_block.witness
-    res = optim.minimize_over_family(objective, domain, budget=budget, seeds=[seed],
-                                     target=_projective_lower(u))
-    (Xb, Yb), (Xm, Ym, _) = block_pieces(res.witness)
-    Ws = res.witness[:free].reshape(B - 1, d, e)
-    pieces = [(Xb[b], Yb[b]) for b in range(B - 1) if np.any(Ws[b])] + [(Xm, Ym)]
-    rep = Representation(blocks=tuple(
-        (VectorSequence(u.domain, X), VectorSequence(u.codomain, Y))
-        for X, Y in pieces
-    ))
-    _require_reconstructs(rep, u)
-    res.details["representation"] = rep
-    return res
+    return _cheapest_representation(spec, u, blocks * min(u.entries.shape),
+                                    single_block.witness, budget)
 
 
 def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:

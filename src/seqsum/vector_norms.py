@@ -209,9 +209,11 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     operator_norm certifies a norming point against it.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2:
-        M = np.atleast_2d(M)
-    one = M.ndim == 2
+    one = M.ndim <= 2
+    if one:
+        # a stack of one, so that one matrix takes the stack's array powers
+        # and gets the same bits alone as in a stack
+        M = np.atleast_2d(M)[None]
     if M.size == 0 or not np.any(M):
         return 0.0 if one else np.zeros(M.shape[:-2])
     d = M.shape[-1]
@@ -237,7 +239,7 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         val = np.minimum(c2 * operator_norm_upper(M, lp_oracle(2.0, d), cod),
                          operator_norm_upper(M, lp_oracle(math.inf, d), cod))
     val = np.minimum(val, evaluate_norms(cod, rows))
-    return float(val) if one else val
+    return float(val[0]) if one else val
 
 
 def operator_norm(M, dom: NormOracle, cod: SpaceSpec,

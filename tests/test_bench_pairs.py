@@ -10,7 +10,7 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [("ops_per_s", "higher"), ("latency_p50_s", "lower")]
+METRICS = [("ops_per_s", "higher", 0.25), ("latency_p50_s", "lower", 0.25)]
 
 
 def _run(workload, pair, side, ops, p50, failed=0):
@@ -50,6 +50,20 @@ def test_summary_drops_a_pair_with_a_failed_run():
     assert out["w"]["failed_ops"] == {"parent": 0, "change": 3}
     assert out["w"]["runs_not_correct"] == {"parent": 1, "change": 1}
     assert out["v"]["ops_per_s"]["change_wins"] == 1
+
+
+@pytest.mark.parametrize("ops, p50, ops_within, p50_within", [
+    (76.0, 0.0126, True, False),  # 24% fewer ops/s, 26% more latency
+    (74.0, 0.0124, False, True),  # 26% fewer ops/s, 24% more latency
+    (200.0, 0.005, True, True)])  # better on both
+def test_within_bound_is_the_relative_bound_on_the_medians(ops, p50, ops_within, p50_within):
+    # the parent's medians are 100 ops/s and 10 ms, and both bounds are 25%
+    runs = []
+    for i, (a, c) in enumerate(zip([90.0, 100.0, 110.0], [ops - 10.0, ops, ops + 10.0])):
+        runs += [_run("w", i, "parent", a, 0.01), _run("w", i, "change", c, p50)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["ops_per_s"]["within_bound"] is ops_within
+    assert s["latency_p50_s"]["within_bound"] is p50_within
 
 
 @pytest.mark.parametrize("pair, first", [(0, "parent"), (1, "change"), (6, "parent")])

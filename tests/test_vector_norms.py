@@ -478,6 +478,20 @@ def test_operator_norm_upper_within_normality_bound(cod, p):
         assert single <= bound * (1 + 1e-12)
 
 
+@pytest.mark.parametrize("r", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+def test_operator_norm_upper_takes_one_matrix_as_a_stack_of_one(p, r):
+    # one matrix gets the bits it gets in a stack, so a bare point of an
+    # operator ball projects as it does as a row of a stack
+    stack = np.random.default_rng([int(2 * p), int(2 * r)]).standard_normal((300, 3, 2))
+    dom, cod = vn.lp_oracle(p, 2), spaces.lp(r)
+    vals = vn.operator_norm_upper(stack, dom, cod)
+    assert [vn.operator_norm_upper(M, dom, cod) for M in stack] == vals.tolist()
+    ball = vn._operator_ball(dom, cod, 3)
+    flat = 2.0 * stack.reshape(300, 6)
+    assert all(np.array_equal(ball.project(x), y) for x, y in zip(flat, ball.project(flat)))
+
+
 @pytest.mark.parametrize("stacked", [False, True])
 def test_operator_norm_upper_one_row_is_exact(stacked):
     # from l3 the formula is an interpolation bound; with one nonzero row the

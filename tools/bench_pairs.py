@@ -5,9 +5,10 @@ Each revision is extracted with `git archive` into its own directory, and
 from its root.  Pair i of a workload runs both sides on the same seed; the
 parent runs first when i is even, the change first when i is odd.  The file
 records every run's result (perfbench's result-<W>-<S>-trace0.json), and per
-workload and end-to-end metric the median and quartiles of each side, with
-the number of pairs the change won.  The metrics and the direction in which
-each is better are read from the change's BENCHMARK.json.
+workload and end-to-end metric the median and quartiles of each side, the
+number of pairs the change won, and whether the change's median is within
+the metric's bound of the parent's.  The metrics, the direction in which each
+is better and its relative bound are read from the change's BENCHMARK.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
         --what "one line on the change" --seed-base 2500
@@ -65,13 +66,15 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
-def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
+def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
     """Per workload: each metric's median and quartiles on each side, the
-    pairs the change won (strictly better, by the metric's direction), and
-    each side's failed ops and runs that were not correct.
+    pairs the change won (strictly better, by the metric's direction),
+    within_bound (the change's median is worse than the parent's by at most
+    the relative bound), and each side's failed ops and runs that were not
+    correct.
 
     runs holds records {"workload", "pair", "side", "result"}; metrics holds
-    (name, "higher" or "lower").  A run without metrics counts as not
+    (name, "higher" or "lower", bound).  A run without metrics counts as not
     correct and is left out of the figures, with its pair.
     """
     out = {}
@@ -83,12 +86,14 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str]]) -> dict:
         pairs = [p for p in by_pair.values()
                  if all("metrics" in p.get(side, {}) for side in SIDES)]
         summary = {}
-        for name, better in metrics if pairs else ():
+        for name, better, bound in metrics if pairs else ():
             vals = {side: [p[side]["metrics"][name]["value"] for p in pairs] for side in SIDES}
             sign = 1.0 if better == "higher" else -1.0
             wins = sum(sign * (c - a) > 0 for a, c in zip(vals["parent"], vals["change"]))
-            summary[name] = {**{side: _quartiles(vals[side]) for side in SIDES},
-                             "change_wins": int(wins), "pairs": len(pairs)}
+            quart = {side: _quartiles(vals[side]) for side in SIDES}
+            parent, change = quart["parent"]["median"], quart["change"]["median"]
+            summary[name] = {**quart, "change_wins": int(wins), "pairs": len(pairs),
+                             "within_bound": bool(sign * (parent - change) <= bound * abs(parent))}
         summary["failed_ops"] = {side: sum(r["result"].get("failed", 0)
                                            for r in mine if r["side"] == side)
                                  for side in SIDES}
@@ -126,7 +131,7 @@ def main(argv=None) -> int:
         for side, rev in zip(SIDES, (args.parent, args.change)):
             extract(rev, roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
-            metrics = [(m["name"], m["better"]) for m in json.load(fh)["end_to_end"]]
+            metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
         runs, seeds = [], {}
         for k, workload in enumerate(workloads):
             first = args.seed_base + 100 * k + 1
