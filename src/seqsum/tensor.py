@@ -183,7 +183,7 @@ def _projective_lower(u: Tensor) -> float:
     return best
 
 
-def _cheapest_representation(spec: SpaceSpec, u: Tensor, r: int, seed,
+def _cheapest_representation(spec: SpaceSpec, u: Tensor, r: int, seed: np.ndarray,
                               budget: OptBudget | None) -> Witnessed:
     """Cheapest r-term representation over the mixings I+V of the SVD base.
 
@@ -192,10 +192,9 @@ def _cheapest_representation(spec: SpaceSpec, u: Tensor, r: int, seed,
     columns of I+V by an invertible H changes no term.  With H the inverse
     of the lower-right block of I+V, that block becomes I; so V's
     lower-right (r - k) x (r - k) block is held at 0 and the search runs
-    over the rest.
-    The value is the certified cost strong(spec) x strong(dual spec); the
-    search stops at the trace-duality lower bound, carried as
-    certified_bound, and a value that meets it is "exact".
+    over the rest.  The value is the certified cost strong(spec) x
+    strong(dual spec); the search stops at the trace-duality lower bound,
+    carried as certified_bound, and a value that meets it is "exact".
     """
     dual_spec = _require_dual(spec)
     E = u.entries
