@@ -513,14 +513,14 @@ def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.nda
     return (scale * t.sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
 
-def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
-    """Garling nu norm of one nonincreasing, nonnegative row.
+def _level_blocks(yhat: np.ndarray, w: np.ndarray):
+    """Halperin's level function of one nonincreasing, nonnegative row.
 
-    Halperin's level function: pool adjacent violators on yhat against the
-    weights until the block ratios Y_B / W_B decrease; then
-    nu(y)^q = sum_B W_B (Y_B / W_B)^q (Sinnamon 1994), which at q = inf is
-    max_n Y_n / W_n.  The row is first divided by a power of two at or
-    below its maximum, so no block sum overflows or underflows.
+    Pool adjacent violators on yhat against the weights until the block
+    ratios Y_B / W_B decrease.  The row is first divided by scale, a power
+    of two at or below its maximum, so no block sum overflows or
+    underflows.  Returns scale and the block sums Y_B (of yhat / scale) and
+    W_B, and the block sizes, in order.
     """
     scale = _pow2_floor(yhat[0])
     Ys, Ws, sizes = [], [], []
@@ -533,8 +533,36 @@ def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
         Ys.append(Y)
         Ws.append(W)
         sizes.append(size)
+    return scale, Ys, Ws, sizes
+
+
+def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
+    """Garling nu norm of one nonincreasing, nonnegative row: with g the
+    level function's block ratio over each block,
+    nu(y)^q = sum_B W_B (Y_B / W_B)^q (Sinnamon 1994), which at q = inf is
+    max_n Y_n / W_n."""
+    scale, Ys, Ws, sizes = _level_blocks(yhat, w)
     g = np.repeat(np.divide(Ys, Ws), sizes)
     return float(scale * _pnorm(g, q, w))
+
+
+def _level_witness(spec: SpaceSpec, bhat: np.ndarray) -> np.ndarray:
+    """Unit vector of garling_mu(spec) whose pairing with the nonincreasing,
+    nonnegative, nonzero row bhat is nu(bhat), placed on bhat's positions.
+
+    With g the level function's block ratio over each block, g^(q - 1)
+    pairs to sum_B W_B g_B^q = nu^q and has mu^p of the same sum; at p = 1
+    the first block over its weight pairs to g_1 = nu and has mu = 1
+    (Halperin; Sinnamon 1994).
+    """
+    w = spec.weights.materialize(bhat.size)
+    _, Ys, Ws, sizes = _level_blocks(bhat, w)
+    if spec.p > 1.0:
+        alpha = np.repeat(np.divide(Ys, Ws), sizes) ** (conjugate_exponent(spec.p) - 1.0)
+    else:
+        alpha = np.zeros(bhat.size)
+        alpha[: sizes[0]] = 1.0 / Ws[0]
+    return alpha / evaluate_norm(spec, alpha)
 
 
 def _orlicz_power_exponent(M) -> float | None:
@@ -653,9 +681,11 @@ def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
     bhat = mod[order]
     nnz = int(np.count_nonzero(bhat))
     fam = spec.family
-    # e_top is sharp for lp(1), and the support for lp(inf)
-    if fam == "lp" and 1.0 < spec.p < math.inf:
-        seeds.append(mod ** (conjugate_exponent(spec.p) - 1.0))
+    # Hoelder's witness mod^(q - 1) for lp and the Orlicz gauge of a power;
+    # e_top is sharp for p = 1, and the support for p = inf
+    p = spec.p if fam == "lp" else _orlicz_power_exponent(spec.orlicz) if fam == "orlicz" else None
+    if p is not None and 1.0 < p < math.inf:
+        seeds.append(mod ** (conjugate_exponent(p) - 1.0))
     if fam == "sargent_m":
         # increment profile placed at the positions of the largest moduli
         dtop = _sargent_delta_top(spec.weights, nnz)
@@ -670,13 +700,8 @@ def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
         v[order[: s_star + 1]] = 1.0 / phi[s_star]
         seeds.append(v)
     if fam == "garling_mu":
-        a = spec.weights.materialize(nnz)
         v = np.zeros(n)
-        if spec.p > 1.0:
-            prof = (bhat[:nnz] / a) ** (1.0 / (spec.p - 1.0))
-        else:
-            prof = (bhat[:nnz] >= np.max(bhat[:nnz] / a) * a).astype(float)
-        v[order[:nnz]] = prof
+        v[order] = _level_witness(spec, bhat)
         seeds.append(v)
     if fam == "garling_nu":
         mu_val = evaluate_norm(garling_mu(spec.weights, spec.p), mod)
@@ -694,42 +719,38 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
               method: str = "auto") -> optim.Witnessed:
     """Kothe-dual norm sup { sum |alpha_j beta_j| : alpha in the unit ball }.
 
-    With method "auto" or "analytic" the value is computed exactly through the
-    analytic dual space when one is known.  With method "optimize" (or when no
-    analytic dual exists) a witnessed lower bound is produced by maximizing the
-    pairing over the unit ball.
+    Where an analytic dual space is known its norm is the exact value.  With
+    method "auto" or "analytic" that value is returned, witnessed by the best
+    family-sharp pairing seed.  With method "optimize" (or when no analytic
+    dual exists) the pairing is maximized over the unit ball from those
+    seeds, a witnessed lower bound.  The analytic value, where there is one,
+    is the search's target and its certified_bound: the search stops once a
+    seed or restart meets it, and the result is "exact".  The seeds meet it
+    for every family with an analytic dual.
     """
     if method not in ("auto", "analytic", "optimize"):
         raise ValueError(f"unknown method {method!r}")
     beta = _sequence(coeffs)
     dual = kothe_dual_spec(spec)
-    if method in ("auto", "analytic"):
-        if dual is not None:
-            val = evaluate_norm(dual, beta)
-            witness = None
-            if beta.size and np.any(beta):
-                # best family-sharp maximizer; for most families it attains
-                # the closed-form value exactly
-                ball = space_ball(spec, beta.size)
-                cands = ball.project(np.stack(_pairing_seeds(spec, beta)))
-                witness = max(cands,
-                              key=lambda a: float(np.sum(np.abs(a * beta))))
-            else:
-                witness = np.zeros(beta.size)
-            return optim.Witnessed(value=val, witness=witness,
-                                   bound_direction="exact", converged=True)
-        if method == "analytic":
-            raise SpecValidationError(f"no analytic dual for {spec.label()}")
+    if dual is None and method == "analytic":
+        raise SpecValidationError(f"no analytic dual for {spec.label()}")
+    value = None if dual is None else evaluate_norm(dual, beta)
     if beta.size == 0 or not np.any(beta):
         return optim.Witnessed(value=0.0, witness=np.zeros(beta.size),
-                               bound_direction="lower-of-sup", converged=True)
+                               bound_direction="lower-of-sup" if dual is None else "exact",
+                               converged=True)
     ball = space_ball(spec, beta.size)
+    seeds = ball.project(np.stack(_pairing_seeds(spec, beta)))
+    if dual is not None and method != "optimize":
+        witness = max(seeds, key=lambda a: float(np.sum(np.abs(a * beta))))
+        return optim.Witnessed(value=value, witness=witness,
+                               bound_direction="exact", converged=True)
 
     def objective(alphas):
         return np.abs(alphas * beta).sum(axis=-1)
 
-    seeds = ball.project(np.stack(_pairing_seeds(spec, beta)))
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds)
+    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
+                                    target=value)
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,19 @@ def test_dual_norm_command_garling_mu_default_p1(capsys):
     assert float(out.split()[0]) == pytest.approx(24.0 / 7.0, rel=1e-12)
 
 
+def test_dual_norm_command_optimize_stops_at_the_analytic_dual(tmp_path, capsys):
+    # the search's certified bound is nu, and the level function's witness meets it
+    out_path = tmp_path / "report.json"
+    code, _, err = run_cli(["dual-norm", "--method", "optimize",
+                            "--space", "garling_mu:geometric:0.5", "--seq", "[1,3,2]",
+                            "--out", str(out_path)], capsys)
+    assert code == 0, err
+    row = json.loads(out_path.read_text())["results"][0]
+    assert row["bound_direction"] == "exact"
+    assert row["certified_bound"] == pytest.approx(24.0 / 7.0, rel=1e-12)
+    assert row["value"] == pytest.approx(row["certified_bound"], rel=1e-12)
+
+
 def test_space_file_escape_hatch(tmp_path, capsys):
     spec = spaces.lorentz(spaces.WeightSeq(prefix=(1.0,), tail="geometric:0.5"),
                           1.0)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles as oc
-from seqsum import spaces
+from seqsum import optim, spaces
 from seqsum.optim import OptBudget
 from seqsum.spaces import (
     OrliczFunction,
@@ -297,11 +297,15 @@ def test_dual_norm_l1_is_sup():
 
 
 def test_dual_norm_tabulated_near_square():
+    # no analytic dual: a plain search, with no bound to stop at
     pts = tuple((t, t * t) for t in (0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0))
     spec = spaces.orlicz(OrliczFunction(kind="tabulated", points=pts))
-    res = spaces.dual_norm(spec, [3, 4], budget=OptBudget(restarts=4, iterations=200))
-    assert res.value == pytest.approx(5.0, rel=5e-2)
-    assert res.bound_direction == "lower-of-sup"
+    for method in ("auto", "optimize"):
+        res = spaces.dual_norm(spec, [3, 4], budget=OptBudget(restarts=4, iterations=200),
+                               method=method)
+        assert res.value == pytest.approx(5.0, rel=5e-2)
+        assert res.bound_direction == "lower-of-sup"
+        assert res.certified_bound is None
 
 
 def test_dual_norm_numeric_agrees_with_analytic():
@@ -315,12 +319,19 @@ def test_dual_norm_numeric_agrees_with_analytic():
         assert num.value == pytest.approx(ana.value, rel=5e-2)
 
 
+POW_HALF = WeightSeq(prefix=(1.0,), tail="power:-0.5")
+
+
 @pytest.mark.parametrize("spec", [
     spaces.sargent_n(SQRT),
     spaces.sargent_n(WeightSeq(prefix=(1.0,), tail="power:0.7")),
     spaces.garling_nu(GEOM_HALF, 2.0),
-    spaces.garling_nu(WeightSeq(prefix=(1.0,), tail="power:-0.5"), 1.5),
-], ids=["sargent_n-sqrt", "sargent_n-power", "garling_nu-geometric", "garling_nu-power"])
+    spaces.garling_nu(POW_HALF, 1.5),
+    *(spaces.garling_mu(w, p) for w in (GEOM_HALF, POW_HALF) for p in (1.0, 1.5, 2.0, 3.0)),
+    spaces.orlicz(OrliczFunction(kind="power", p=3.0)),
+], ids=["sargent_n-sqrt", "sargent_n-power", "garling_nu-geometric", "garling_nu-power",
+        *(f"garling_mu-{w}-p{p:g}" for w in ("geometric", "power") for p in (1.0, 1.5, 2.0, 3.0)),
+        "orlicz-power3"])
 def test_analytic_dual_witness_attains_the_value(spec):
     # the family-sharp pairing seed is feasible and meets the closed form
     rng = np.random.default_rng(13)
@@ -340,8 +351,54 @@ def test_garling_nu_equals_dual_of_mu():
         direct = spaces.evaluate_norm(spaces.garling_nu(GEOM_HALF, 2.0), b)
         via_dual = spaces.dual_norm(mu, b, method="optimize",
                                     budget=OptBudget(restarts=4, iterations=200))
-        assert via_dual.value <= direct + 1e-9
-        assert via_dual.value == pytest.approx(direct, rel=5e-2)
+        assert via_dual.bound_direction == "exact"
+        assert via_dual.value == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("spec", [
+    spaces.lp(1), spaces.lp(1.5), spaces.lp(3), spaces.lp(math.inf), spaces.c0(),
+    *(spaces.orlicz(OrliczFunction(kind="power", p=p)) for p in (1.0, 1.5, 3.0)),
+    spaces.garling_mu(GEOM_HALF, 1.0), spaces.garling_mu(POW_HALF, 3.0),
+    spaces.garling_nu(GEOM_HALF, 1.0), spaces.garling_nu(POW_HALF, 3.0),
+    spaces.sargent_m(SQRT), spaces.sargent_n(SQRT),
+], ids=lambda spec: spec.label())
+def test_optimize_stops_at_the_analytic_dual(spec):
+    # the analytic value is the search's certified bound, and a seed meets it,
+    # on wide-range and zero-padded inputs too
+    rng = np.random.default_rng(19)
+    for k in range(30):
+        b = rng.standard_normal(int(rng.integers(1, 13)))
+        if k % 3 == 1:
+            b *= 10.0 ** rng.uniform(-12.0, 12.0, b.size)
+        if k % 3 == 2:
+            b = np.concatenate([b, np.zeros(3)])
+        res = spaces.dual_norm(spec, b, method="optimize")
+        assert res.bound_direction == "exact" and res.converged
+        assert res.details["stop"] == "certificate"
+        assert res.certified_bound == spaces.dual_norm(spec, b).value
+        assert optim.meets(res.value, res.certified_bound)
+        assert spaces.evaluate_norm(spec, res.witness) <= 1.0 + 1e-9
+
+
+@given(
+    beta=st.lists(st.one_of(st.just(0.0),
+                            st.builds(lambda m, e: m * 10.0 ** e,
+                                      st.floats(-10.0, -1.0) | st.floats(1.0, 10.0),
+                                      st.integers(-12, 12))),
+                  min_size=1, max_size=12).filter(any),
+    weights=st.sampled_from([GEOM_HALF, POW_HALF, WeightSeq(prefix=(1.0, 0.9, 0.3),
+                                                            tail="power:-1.0")]),
+    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+)
+def test_level_witness_attains_nu(beta, weights, p):
+    # the level function's equality witness is a unit vector of mu whose
+    # pairing is nu (Halperin; Sinnamon 1994)
+    mu = spaces.garling_mu(weights, p)
+    yhat = np.sort(np.abs(beta))[::-1]
+    alpha = spaces._level_witness(mu, yhat / yhat[0])
+    assert spaces.evaluate_norm(mu, alpha) <= 1.0 + 1e-12
+    assert optim.meets(float(np.sum(alpha * yhat)),
+                       spaces.evaluate_norm(spaces.garling_nu(weights, p), beta))
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
