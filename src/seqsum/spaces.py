@@ -665,8 +665,8 @@ def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
 def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
     """Candidate maximizers of alpha -> sum |alpha*beta| over the unit ball, beta != 0.
 
-    Includes classical equality witnesses for the families whose duality is
-    sharp, so the optimizer starts essentially at the answer.
+    Includes an equality witness for every family with an analytic dual, so
+    once projected some seed attains that dual's norm of beta.
     """
     n = beta.size
     # seeds are directions only, so scaled moduli keep their powers finite
