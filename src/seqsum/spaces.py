@@ -16,7 +16,7 @@ domination of moduli).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +61,10 @@ _TINY = np.finfo(float).tiny
 # the exponent bits of a float64: masking a positive float with them gives
 # the largest power of two not above it
 _EXPONENT = np.int64(0x7FF0000000000000)
+# a Luxemburg gauge stops within _GAUGE_TOL of its root, relative, and steps
+# out by _GAUGE_MARGIN, which exceeds the rounding of its modular
+_GAUGE_TOL = 2.0**-42
+_GAUGE_MARGIN = 2.0**-46
 
 
 class SpecValidationError(ValueError):
@@ -93,6 +97,13 @@ class OrliczFunction:
     kind: str
     p: float | None = None
     points: tuple[tuple[float, float], ...] | None = None
+    # Set by __post_init__: _gauge = (u, r) for the gauge solver, with
+    # M(u) >= 1 and M^(1/r) convex: r = p for a power and for power_log,
+    # whose (t**p log(1 + t))^(1/p) is convex, and 1 for a table.  _table
+    # holds a table's interior breakpoints, breakpoints, values and slopes.
+    _gauge: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _table: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False,
+                                                  compare=False)
 
     def __post_init__(self):
         if self.kind in ("power", "power_log"):
@@ -100,41 +111,49 @@ class OrliczFunction:
                 raise SpecValidationError(
                     f"orlicz {self.kind} needs a finite exponent p >= 1, got {self.p!r}"
                 )
+            # M(2^(1/p)) = 2 log(1 + 2^(1/p)) > 1 for power_log
+            unit = 1.0 if self.kind == "power" else 2.0 ** (1.0 / self.p)
+            object.__setattr__(self, "_gauge", (unit, self.p))
         elif self.kind == "tabulated":
             pts = self.points
             if not pts or len(pts) < 2:
                 raise SpecValidationError("tabulated orlicz needs at least 2 breakpoints")
-            ts = [float(t) for t, _ in pts]
-            ms = [float(m) for _, m in pts]
+            ts = np.array([float(t) for t, _ in pts])
+            ms = np.array([float(m) for _, m in pts])
             if ts[0] != 0.0 or ms[0] != 0.0:
                 raise SpecValidationError("tabulated orlicz must start at (0, 0)")
-            if any(b <= a for a, b in zip(ts, ts[1:])):
+            if np.any(ts[1:] <= ts[:-1]):
                 raise SpecValidationError("tabulated breakpoints must be strictly increasing in t")
-            slopes = [(m1 - m0) / (t1 - t0) for (t0, m0), (t1, m1) in zip(pts, pts[1:])]
-            if any(s < -1e-12 for s in slopes):
+            slopes = np.diff(ms) / np.diff(ts)
+            if np.any(slopes < -1e-12):
                 raise SpecValidationError("tabulated orlicz must be nondecreasing")
-            if any(s1 < s0 - 1e-12 for s0, s1 in zip(slopes, slopes[1:])):
+            if np.any(slopes[1:] < slopes[:-1] - 1e-12):
                 raise SpecValidationError("tabulated orlicz must be convex (nondecreasing slopes)")
-            if any(m <= 0.0 for t, m in pts if t > 0.0):
+            if np.any(ms[1:] <= 0.0):
                 raise SpecValidationError("tabulated orlicz must be positive for t > 0")
+            object.__setattr__(self, "_table", (ts[1:-1], ts, ms, slopes))
+            # the root of M(u) = 1, up to rounding
+            i = min(int(np.searchsorted(ms, 1.0)), ts.size - 1) - 1
+            object.__setattr__(self, "_gauge", (float(ts[i] + (1.0 - ms[i]) / slopes[i]), 1.0))
         else:
             raise SpecValidationError(f"unknown orlicz kind {self.kind!r}")
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        return self._terms(np.asarray(t, dtype=float))[0]
+
+    def _terms(self, t):
+        """M(t) and t M'(t), with M' the left derivative on a table."""
         if self.kind == "power":
-            return t**self.p
+            m = t**self.p
+            return m, self.p * m
         if self.kind == "power_log":
-            return t**self.p * np.log1p(t)
-        ts = np.array([q[0] for q in self.points])
-        ms = np.array([q[1] for q in self.points])
-        out = np.interp(t, ts, ms)
-        # linear extension beyond the table keeps convexity
-        last_slope = (ms[-1] - ms[-2]) / (ts[-1] - ts[-2])
-        over = t > ts[-1]
-        if np.any(over):
-            out = np.where(over, ms[-1] + last_slope * (t - ts[-1]), out)
-        return out
+            tp = t**self.p
+            m = tp * np.log1p(t)
+            return m, self.p * m + tp * t / (1.0 + t)
+        inner, ts, ms, slopes = self._table
+        # the segment left of each t, and the last one past the table
+        i = np.searchsorted(inner, t)
+        return ms[i] + slopes[i] * (t - ts[i]), t * slopes[i]
 
     def to_json(self):
         if self.kind == "tabulated":
@@ -433,50 +452,63 @@ def _pow2_floor(mx):
     return np.maximum((mx.view(np.int64) & _EXPONENT).view(np.float64), _TINY)
 
 
-def _luxemburg(arr: np.ndarray, fns) -> float:
-    # smallest k with sum_j M_j(a_j / k) <= 1, by bisection on the
-    # nonincreasing constraint function.  The gauge is homogeneous, so it is
-    # found for arr / scale and multiplied back, which leaves the bits of
-    # normal-range inputs as they are and keeps the bracket away from
-    # overflow and subnormals.
-    mx = arr.max()
-    if mx == 0.0:
-        return 0.0
-    scale = _pow2_floor(mx)
-    arr = arr / scale
+def _luxemburg(A: np.ndarray, fns) -> np.ndarray:
+    """Luxemburg gauge of each row of a finite, nonnegative 2-d array: the
+    least k with sum_j M_j(a_j / k) <= 1, with M_j the j-th of fns (the last
+    one repeated), or fns itself.
 
+    Each row is divided by a power of two at or below its maximum, which is
+    exact and keeps every power finite.  In s = 1/k the modular
+    F(s) = sum_j M_j(a_j s) is convex and increasing, and so is G = F^(1/r),
+    with r the least of the functions' r, as each M_j^(1/r) is convex.
+    Newton steps on G(s) = 1 start where some a_j s reaches its unit, right
+    of the root, and fall to it.  G is close to linear for powers and
+    power_log, and on a table it is piecewise linear, so the step from the
+    segment that holds the root lands on it.  A row stops on its own once
+    G <= 1 + _GAUGE_TOL, where s is within that of the root, relative (G is
+    convex with G(0) = 0), or once a step no longer moves s left, which
+    rounding alone can cause.  Then s / max(G, 1) is at or left of the root,
+    for the same reason, and k is its inverse raised by _GAUGE_MARGIN
+    against rounding: the modular at k is at most 1.
+    """
+    out = np.zeros(A.shape[0])
+    mx = A.max(axis=-1)
+    rows = np.flatnonzero(mx)
+    scale = _pow2_floor(mx[rows])
+    a = A[rows] / scale[:, None]
+    n = A.shape[-1]
     if isinstance(fns, OrliczFunction):
-        def G(k):
-            return float(np.sum(fns(arr / k)))
+        groups = [(fns, slice(None))]
     else:
-        fn_list = list(fns)
-        if len(fn_list) < arr.size:
-            fn_list = fn_list + [fn_list[-1]] * (arr.size - len(fn_list))
-
-        def G(k):
-            return float(sum(f(a / k) for f, a in zip(fn_list, arr)))
-
-    hi = float(np.max(arr) + np.sum(arr))
-    for _ in range(200):
-        if G(hi) <= 1.0:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("luxemburg bracket expansion failed")
-    lo = hi
-    for _ in range(400):
-        if G(lo) > 1.0:
-            break
-        lo *= 0.5
-    else:
-        raise ValueError("luxemburg bracket contraction failed")
-    while hi - lo > 4e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if G(mid) <= 1.0:
-            hi = mid
+        m = min(len(fns), n)
+        groups = [(f, slice(j, j + 1)) for j, f in enumerate(fns[:m - 1])]
+        groups.append((fns[m - 1], slice(m - 1, None)))
+    units = np.empty(n)
+    for f, cols in groups:
+        units[cols] = f._gauge[0]
+    r = min(f._gauge[1] for f, _ in groups)
+    # the least s at which some a_j s reaches its unit, where F(s) >= 1
+    s = 1.0 / (a / units).max(axis=-1)
+    while rows.size:
+        T = a * s[:, None]
+        if len(groups) == 1:
+            M, D = groups[0][0]._terms(T)
         else:
-            lo = mid
-    return float(scale * hi)
+            M, D = np.empty_like(T), np.empty_like(T)
+            for f, cols in groups:
+                M[:, cols], D[:, cols] = f._terms(T[:, cols])
+        F, H = M.sum(axis=-1), D.sum(axis=-1)
+        G = F ** (1.0 / r)
+        # the Newton step on G, whose derivative is G H / (r F s)
+        s_next = s - s * (r * F * (1.0 - 1.0 / G) / H)
+        stop = (G <= 1.0 + _GAUGE_TOL) | ~(s_next < s)
+        if stop.any():
+            out[rows[stop]] = scale[stop] * (np.maximum(G[stop], 1.0) / s[stop]
+                                             * (1.0 + _GAUGE_MARGIN))
+            go = ~stop
+            rows, scale, a, s_next = rows[go], scale[go], a[go], s_next[go]
+        s = s_next
+    return out
 
 
 def _sargent_delta_top(weights: WeightSeq, nnz: int) -> np.ndarray:
@@ -574,10 +606,10 @@ def _orlicz_power_exponent(M) -> float | None:
 def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     """Norm of each sequence along the last axis of X, one per leading index.
 
-    The lp, c0, rearrangement and Sargent families, and the Orlicz gauge of
-    a power, which is the lp norm, are computed for the whole stack at once;
-    other Orlicz gauges and Garling nu go row by row.  Each row's
-    value does not depend on the other rows.
+    Every family but Garling nu, which goes row by row, is computed for the
+    whole stack at once: the Orlicz gauge of a power is the lp norm, and
+    other Orlicz gauges take Newton steps on all rows together, each row
+    stopping on its own.  Each row's value does not depend on the other rows.
     """
     A = np.abs(np.asarray(X, dtype=float))
     n = A.shape[-1]
@@ -595,8 +627,7 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
         p = _orlicz_power_exponent(spec.orlicz)
         if p is not None:
             return _pnorm(A, p)
-        vals = [_luxemburg(r, spec.orlicz) for r in A.reshape(-1, n)]
-        return np.array(vals, dtype=float).reshape(A.shape[:-1])
+        return _luxemburg(A.reshape(-1, n), spec.orlicz).reshape(A.shape[:-1])
     # trailing zeros of the rearrangement add nothing to any of these forms
     ahat = -np.sort(-A, axis=-1)
     if fam == "garling_nu":
@@ -616,8 +647,9 @@ def evaluate_norm(spec: SpaceSpec, coeffs) -> float:
     """Norm of a finite sequence in the given space; the one-row evaluate_norms.
 
     No family runs a search: Garling nu has the closed form of the level
-    function, and an Orlicz gauge other than a power's is bisected to 4e-13
-    relative.
+    function, and an Orlicz gauge other than a power's is the root of its
+    modular found by Newton's method, on the feasible side and within 4e-13
+    of it, relative.
     """
     return float(evaluate_norms(spec, _sequence(coeffs)[None])[0])
 
@@ -734,23 +766,31 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
     dual = kothe_dual_spec(spec)
     if dual is None and method == "analytic":
         raise SpecValidationError(f"no analytic dual for {spec.label()}")
-    value = None if dual is None else evaluate_norm(dual, beta)
     if beta.size == 0 or not np.any(beta):
         return optim.Witnessed(value=0.0, witness=np.zeros(beta.size),
                                bound_direction="lower-of-sup" if dual is None else "exact",
                                converged=True)
+    # the pairing and the analytic value are computed for beta / scale, with
+    # scale a power of two at or below the largest modulus, so that no
+    # product or norm rounds to a subnormal; dividing by it and multiplying
+    # back are exact in the normal range
+    scale = float(_pow2_floor(np.abs(beta).max()))
+    b = beta / scale
+    target = None if dual is None else evaluate_norm(dual, b)
+
+    def objective(alphas):
+        return np.abs(alphas * b).sum(axis=-1)
+
     ball = space_ball(spec, beta.size)
     seeds = ball.project(np.stack(_pairing_seeds(spec, beta)))
     if dual is not None and method != "optimize":
-        witness = max(seeds, key=lambda a: float(np.sum(np.abs(a * beta))))
-        return optim.Witnessed(value=value, witness=witness,
+        return optim.Witnessed(value=scale * target, witness=seeds[np.argmax(objective(seeds))],
                                bound_direction="exact", converged=True)
-
-    def objective(alphas):
-        return np.abs(alphas * beta).sum(axis=-1)
-
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    target=value)
+    res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds, target=target)
+    res.value *= scale
+    if target is not None:
+        res.certified_bound = scale * target
+    return res
 
 
 # ---------------------------------------------------------------------------

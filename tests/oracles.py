@@ -81,18 +81,22 @@ def sargent_n_placement_oracle(phi: np.ndarray, seq, window: int | None = None,
 
 
 def luxemburg_secant_oracle(fn, seq, tol: float = 1e-12) -> float:
-    """Solve sum fn(|a_i|/t) = 1 for t by bisection on a fresh bracket.
+    """Solve sum_i fn_i(|a_i|/t) = 1 for t by bisection on a fresh bracket.
 
-    fn is a scalar convex function with fn(0) = 0.  Independent of the
-    library gauge: different bracket construction and termination rule.
+    fn is a scalar convex function with fn(0) = 0, or a list of them, one
+    for each coordinate with the last one repeated, as spaces.orlicz takes
+    them.  Independent of the library gauge: different bracket construction
+    and termination rule.
     """
     a = np.abs(np.asarray(seq, dtype=float))
-    a = a[a > 0]
-    if a.size == 0:
+    fns = list(fn) if isinstance(fn, (list, tuple)) else [fn]
+    fns += [fns[-1]] * (a.size - len(fns))
+    terms = [(f, x) for f, x in zip(fns, a) if x > 0]
+    if not terms:
         return 0.0
 
     def excess(t):
-        return sum(fn(x / t) for x in a) - 1.0
+        return sum(f(x / t) for f, x in terms) - 1.0
 
     hi = float(np.max(a)) * max(1.0, float(a.size))
     while excess(hi) > 0:

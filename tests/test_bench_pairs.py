@@ -69,3 +69,36 @@ def test_within_bound_is_the_relative_bound_on_the_medians(ops, p50, ops_within,
 @pytest.mark.parametrize("pair, first", [(0, "parent"), (1, "change"), (6, "parent")])
 def test_parent_runs_first_in_even_pairs(pair, first):
     assert bench_pairs.order(pair)[0] == first
+
+
+@pytest.mark.parametrize("parent, change, want", [
+    # 10 of 10 pairs won, and the medians 47.5 apart against a spread of 5
+    ([100.0, 105.0, 110.0, 95.0] * 2 + [100.0, 105.0], [150.0] * 10, "gain"),
+    # 10 of 10 pairs won, but the medians only 3 apart against a spread of 5
+    ([100.0, 105.0, 110.0, 95.0] * 2 + [100.0, 105.0],
+     [103.0, 108.0, 113.0, 98.0] * 2 + [103.0, 108.0], "within_bound"),
+    # 20% worse, against a bound of 25%
+    ([100.0] * 10, [80.0] * 10, "within_bound"),
+    # 30% worse
+    ([100.0] * 10, [70.0] * 10, "regressed"),
+    # the parent's spread (60) is wider than the bound, and the runs overlap
+    ([40.0, 160.0, 100.0, 70.0, 130.0] * 2, [90.0] * 10, "unresolved"),
+    # a spread of 45, but every change run beats every parent run
+    ([40.0] * 3 + [100.0] * 7, [101.0] * 10, "within_bound"),
+], ids=["gain", "won-inside-the-spread", "worse-inside-the-bound", "regressed", "unresolved",
+        "beats-every-run"])
+def test_verdict(parent, change, want):
+    wins = sum(c > a for a, c in zip(parent, change))
+    assert bench_pairs.verdict(parent, change, wins, 1.0, 0.25) == want
+    # the same runs of a metric where lower is better
+    assert bench_pairs.verdict([-v for v in parent], [-v for v in change], wins, -1.0,
+                               0.25) == want
+
+
+def test_summary_carries_the_verdict():
+    runs = []
+    for i in range(10):
+        runs += [_run("w", i, "parent", 100.0 + i % 3, 0.010), _run("w", i, "change", 150.0, 0.013)]
+    s = bench_pairs.summarize(runs, METRICS)["w"]
+    assert s["ops_per_s"]["verdict"] == "gain"
+    assert s["latency_p50_s"]["verdict"] == "regressed"

@@ -106,13 +106,21 @@ def test_power_sums_neither_overflow_nor_underflow(spec, ratio, scale):
     assert got == pytest.approx(ratio * scale, rel=1e-14, abs=0.0)
 
 
+# the tabulated gauge and the per-coordinate list of the benchmark's scalar deck
+ORLICZ_TABLE = spaces.orlicz(OrliczFunction(
+    kind="tabulated", points=((0.0, 0.0), (1.0, 1.0), (2.0, 3.0), (4.0, 9.0))))
+ORLICZ_LIST = spaces.orlicz([OrliczFunction(kind="power", p=2.0),
+                             OrliczFunction(kind="power", p=3.0),
+                             OrliczFunction(kind="power_log", p=1.0)])
+
+
 def test_stacked_norms_equal_row_norms_bit_for_bit():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((3, 4, 6)) * 10.0 ** rng.uniform(-3, 3, (3, 4, 6))
     X[0, 1] = 0.0
     X[1, 2, 3:] = 0.0
     specs = [spaces.lp(1), spaces.lp(2.5), spaces.lp(math.inf), spaces.c0(),
-             spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)),
+             spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)), ORLICZ_TABLE, ORLICZ_LIST,
              spaces.lorentz(GEOM_HALF, 1.0), spaces.garling_mu(GEOM_HALF, 2.0),
              spaces.garling_nu(GEOM_HALF, 2.0), spaces.garling_nu(GEOM_HALF, 1.0),
              spaces.sargent_m(SQRT), spaces.sargent_n(SQRT)]
@@ -192,6 +200,7 @@ def test_orlicz_matches_secant_oracle():
         OrliczFunction(kind="power_log", p=2.0),
         OrliczFunction(kind="tabulated",
                        points=((0.0, 0.0), (0.5, 0.2), (1.0, 1.0), (2.0, 3.0))),
+        ORLICZ_LIST.orlicz,
     ]
     rng = np.random.default_rng(7)
     for fn in fns:
@@ -199,7 +208,32 @@ def test_orlicz_matches_secant_oracle():
         for _ in range(25):
             a = rng.standard_normal(int(rng.integers(1, 6))) * 3
             got = spaces.evaluate_norm(spec, a)
-            assert got == pytest.approx(oc.luxemburg_secant_oracle(fn, a), rel=1e-9)
+            want = oc.luxemburg_secant_oracle(fn, a, tol=1e-14)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _modular(spec, a, k):
+    fns = list(spec.orlicz) if isinstance(spec.orlicz, tuple) else [spec.orlicz]
+    fns += [fns[-1]] * (len(a) - len(fns))
+    return math.fsum(float(f(abs(x) / k)) for f, x in zip(fns, a))
+
+
+@given(
+    a=st.lists(st.one_of(st.just(0.0),
+                         st.builds(lambda m, e: m * 10.0 ** e,
+                                   st.floats(-10.0, -1.0) | st.floats(1.0, 10.0),
+                                   st.integers(-12, 12))),
+               min_size=1, max_size=12).filter(any),
+    spec=st.sampled_from([spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)),
+                          spaces.orlicz(OrliczFunction(kind="power_log", p=7.0)),
+                          ORLICZ_TABLE, ORLICZ_LIST]),
+)
+def test_luxemburg_gauge_is_on_the_feasible_side_of_its_root(a, spec):
+    # the modular is at most 1 at the returned gauge, and above 1 a little
+    # below it, so the gauge is the least feasible k to 1e-12 relative
+    k = spaces.evaluate_norm(spec, a)
+    assert _modular(spec, a, k) <= 1.0
+    assert _modular(spec, a, k * (1.0 - 1e-12)) > 1.0
 
 
 def test_orlicz_per_coordinate_list():
@@ -364,14 +398,19 @@ def test_garling_nu_equals_dual_of_mu():
 ], ids=lambda spec: spec.label())
 def test_optimize_stops_at_the_analytic_dual(spec):
     # the analytic value is the search's certified bound, and a seed meets it,
-    # on wide-range and zero-padded inputs too
+    # on wide-range, zero-padded and subnormal inputs too
     rng = np.random.default_rng(19)
+    draws = []
     for k in range(30):
         b = rng.standard_normal(int(rng.integers(1, 13)))
         if k % 3 == 1:
             b *= 10.0 ** rng.uniform(-12.0, 12.0, b.size)
         if k % 3 == 2:
             b = np.concatenate([b, np.zeros(3)])
+        draws.append(b)
+    draws += [b / np.abs(b).max() * 2.2250738583e-314 for b in draws[:6]]
+    draws.append(np.array([2.2250738583e-314] * 2))
+    for b in draws:
         res = spaces.dual_norm(spec, b, method="optimize")
         assert res.bound_direction == "exact" and res.converged
         assert res.details["stop"] == "certificate"

@@ -6,8 +6,9 @@ from its root.  Pair i of a workload runs both sides on the same seed; the
 parent runs first when i is even, the change first when i is odd.  The file
 records every run's result (perfbench's result-<W>-<S>-trace0.json), and per
 workload and end-to-end metric the median and quartiles of each side, the
-number of pairs the change won, and whether the change's median is within
-the metric's bound of the parent's.  The metrics, the direction in which each
+number of pairs the change won, whether the change's median is within
+the metric's bound of the parent's, and a verdict: gain, within_bound,
+unresolved or regressed (see verdict).  The metrics, the direction in which each
 is better and its relative bound are read from the change's BENCHMARK.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
@@ -66,12 +67,32 @@ def _quartiles(values: list[float]) -> dict:
     return {"median": float(med), "q1": float(q1), "q3": float(q3)}
 
 
+def verdict(parent: list[float], change: list[float], wins: int, sign: float,
+            bound: float) -> str:
+    """What the pairs show of one metric, sign being 1 where higher is better.
+
+    "gain": the change won at least 9 in 10 pairs, and its median is better
+    than the parent's by more than the parent's quartile spread.
+    "unresolved": not a gain, the parent's quartile spread is wider than the
+    relative bound, and some change run does not beat every parent run.
+    "within_bound": neither, and the change's median is worse than the
+    parent's by at most the relative bound.  "regressed": anything else.
+    """
+    q1, med, q3 = np.percentile(parent, [25, 50, 75])
+    moved = sign * (float(np.median(change)) - med)
+    if wins >= 0.9 * len(parent) and moved > q3 - q1:
+        return "gain"
+    if q3 - q1 > bound * abs(med) and min(sign * np.array(change)) <= max(sign * np.array(parent)):
+        return "unresolved"
+    return "within_bound" if -moved <= bound * abs(med) else "regressed"
+
+
 def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
     """Per workload: each metric's median and quartiles on each side, the
     pairs the change won (strictly better, by the metric's direction),
     within_bound (the change's median is worse than the parent's by at most
-    the relative bound), and each side's failed ops and runs that were not
-    correct.
+    the relative bound), its verdict, and each side's failed ops and runs
+    that were not correct.
 
     runs holds records {"workload", "pair", "side", "result"}; metrics holds
     (name, "higher" or "lower", bound).  A run without metrics counts as not
@@ -93,7 +114,8 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
             quart = {side: _quartiles(vals[side]) for side in SIDES}
             parent, change = quart["parent"]["median"], quart["change"]["median"]
             summary[name] = {**quart, "change_wins": int(wins), "pairs": len(pairs),
-                             "within_bound": bool(sign * (parent - change) <= bound * abs(parent))}
+                             "within_bound": bool(sign * (parent - change) <= bound * abs(parent)),
+                             "verdict": verdict(vals["parent"], vals["change"], wins, sign, bound)}
         summary["failed_ops"] = {side: sum(r["result"].get("failed", 0)
                                            for r in mine if r["side"] == side)
                                  for side in SIDES}
