@@ -124,7 +124,10 @@ class OrliczFunction:
                 raise SpecValidationError("tabulated orlicz must start at (0, 0)")
             if np.any(ts[1:] <= ts[:-1]):
                 raise SpecValidationError("tabulated breakpoints must be strictly increasing in t")
-            slopes = np.diff(ms) / np.diff(ts)
+            with np.errstate(over="ignore", invalid="ignore"):
+                slopes = np.diff(ms) / np.diff(ts)
+            if not np.all(np.isfinite(slopes)):
+                raise SpecValidationError("tabulated orlicz needs finite slopes")
             if np.any(slopes < -1e-12):
                 raise SpecValidationError("tabulated orlicz must be nondecreasing")
             if np.any(slopes[1:] < slopes[:-1] - 1e-12):

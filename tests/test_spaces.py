@@ -616,6 +616,10 @@ def test_invalid_specs_rejected():
     with pytest.raises(SpecValidationError):
         OrliczFunction(kind="tabulated",
                        points=((0.0, 0.0), (1.0, 2.0), (2.0, 2.5)))  # concave
+    for pts in (((0.0, 0.0), (1e-200, 1e200)),  # the slope overflows
+                ((0.0, 0.0), (1.0, 1.0), (math.nan, 2.0))):
+        with pytest.raises(SpecValidationError):
+            OrliczFunction(kind="tabulated", points=pts)
     with pytest.raises(SpecValidationError):
         spaces.garling_nu(GEOM_HALF, 0.5)  # needs p >= 1
     # nan compares false with every bound, so each family must reject it
