@@ -6,10 +6,11 @@ from its root.  Pair i of a workload runs both sides on the same seed; the
 parent runs first when i is even, the change first when i is odd.  The file
 records every run's result (perfbench's result-<W>-<S>-trace0.json), and per
 workload and end-to-end metric the median and quartiles of each side, the
-number of pairs the change won, whether the change's median is within
-the metric's bound of the parent's, and a verdict: gain, within_bound,
-unresolved or regressed (see verdict).  The metrics, the direction in which each
-is better and its relative bound are read from the change's BENCHMARK.json.
+number of pairs the change won, whether the change's median is within the
+metric's bound of the parent's, and a verdict: gain, within_bound,
+unresolved or regressed (see verdict).  The metrics, the direction in which
+each is better and its relative bound are read from the change's
+BENCHMARK.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
         --what "one line on the change" --seed-base 2500
@@ -78,11 +79,12 @@ def verdict(parent: list[float], change: list[float], wins: int, sign: float,
     "within_bound": neither, and the change's median is worse than the
     parent's by at most the relative bound.  "regressed": anything else.
     """
-    q1, med, q3 = np.percentile(parent, [25, 50, 75])
+    q = _quartiles(parent)
+    med, spread = q["median"], q["q3"] - q["q1"]
     moved = sign * (float(np.median(change)) - med)
-    if wins >= 0.9 * len(parent) and moved > q3 - q1:
+    if wins >= 0.9 * len(parent) and moved > spread:
         return "gain"
-    if q3 - q1 > bound * abs(med) and min(sign * np.array(change)) <= max(sign * np.array(parent)):
+    if spread > bound * abs(med) and min(sign * np.array(change)) <= max(sign * np.array(parent)):
         return "unresolved"
     return "within_bound" if -moved <= bound * abs(med) else "regressed"
 
