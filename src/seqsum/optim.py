@@ -224,11 +224,16 @@ def _first_improvement(P: np.ndarray, F: np.ndarray, best: float):
     reads.
     """
     up = F > best
-    last = int(up.argmax()) if up.any() else F.shape[0] - 1
-    _checked(F[: last + 1])
-    if not up[last]:
+    row = int(up.argmax())
+    hit = up[row]
+    # the poll reads up to the row taken, or every row; their maximum is NaN
+    # exactly when one of them is
+    top = np.maximum.reduce(F[: row + 1] if hit else F)
+    if top != top:
+        raise ValueError("objective returned NaN")
+    if not hit:
         return None, None, best
-    return last, P[last], float(F[last])
+    return row, P[row], float(F[row])
 
 
 def _poll_rows(objective, domain: Ball, C: np.ndarray, best: float):
@@ -265,16 +270,19 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
     evals = 1
     converged = False
     dim = domain.dim
-    # candidate 2c moves coordinate c up by one step, candidate 2c + 1 down
-    coord = np.repeat(np.arange(dim), 2)
-    sign = np.tile([1.0, -1.0], dim)
+    # candidate 2c moves coordinate c up by one step, candidate 2c + 1 down.
+    # Row i of x + delta has every coordinate moved by candidate i's step; a
+    # poll stack takes the one candidate i moves from it and copies the rest
+    # from x, so an untouched coordinate keeps its bits (-0.0 included)
+    moves = np.arange(dim) == np.repeat(np.arange(dim), 2)[:, None]
+    sign = np.tile([1.0, -1.0], dim)[:, None]
+    delta = sign * step
     for _ in range(budget.iterations):
         moved = False
         start = 0
         while start < 2 * dim:
             k = 2 * dim - start
-            C = np.repeat(x[None], k, axis=0)
-            C[np.arange(k), coord[start:]] += sign[start:] * step
+            C = np.where(moves[start:], x + delta[start:], x)
             scored = yield C
             if scored is None:
                 j, point, best = _poll_rows(objective, domain, C, best)
@@ -293,6 +301,7 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
             if step < budget.min_step:
                 converged = True
                 break
+            delta = sign * step
     return x, best, converged, evals
 
 
@@ -342,8 +351,11 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
         scored = _stack_scores(objective, domain, np.concatenate(blocks), project)
         if scored is not None:
             P, F = scored
-            ends = np.cumsum([len(C) for C in blocks]).tolist()
-            answers = [(P[a:b], F[a:b]) for a, b in zip([0] + ends, ends)]
+            answers, a = [], 0
+            for C in blocks:
+                b = a + len(C)
+                answers.append((P[a:b], F[a:b]))
+                a = b
         elif len(blocks) > 1 and project:
             answers = [_stack_scores(objective, domain, C, project) for C in blocks]
         else:
@@ -372,8 +384,12 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         val = sign * float(_score(objective, np.zeros((1, 0)))[0])
         return np.zeros(0), val, True, {"evals": 1, "restarts": 0}
 
-    def f(V):
-        return sign * np.asarray(objective(V), dtype=float)
+    if sign > 0.0:
+        # the values as they are: _checked and _stack_scores make them floats
+        f = objective
+    else:
+        def f(V):
+            return sign * np.asarray(objective(V), dtype=float)
 
     rows = [np.asarray(s, dtype=float).ravel() for s in ([] if seeds is None else seeds)]
     for i, arr in enumerate(rows):

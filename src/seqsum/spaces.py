@@ -532,20 +532,26 @@ def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.nda
     underflows: a nonzero row never gets norm 0 and a representable norm is
     never inf.  Dividing and multiplying by a power of two is exact, so for
     p = 2 the bits are those of the unscaled formula wherever it is finite.
+    Each term (a_j/mx)^p is then below 2^p, so n terms can overflow only when
+    p + log2(n) >= 1024; only there is each row divided by its maximum
+    itself, which puts every term at or below 1.
     """
     if p == 1.0:
-        return (A if weights is None else weights * A).sum(axis=-1)
-    mx = A.max(axis=-1, keepdims=True)
+        return np.add.reduce(A if weights is None else weights * A, axis=-1)
+    mx = np.maximum.reduce(A, axis=-1, keepdims=True)
     if math.isinf(p):
         return mx[..., 0]
-    # the floor keeps zero rows at 0 and only replaces a subnormal maximum
-    scale = _pow2_floor(mx)
+    if p + math.log2(max(A.shape[-1], 1)) < 1024.0:
+        # the floor keeps zero rows at 0 and only replaces a subnormal maximum
+        scale = _pow2_floor(mx)
+    else:
+        scale = np.where(mx > 0.0, mx, 1.0)
     t = (A / scale) ** p
     if weights is not None:
         t = weights * t
     # the power acts on an array even for one row, so a bare row has the bits
     # it has inside a stack (a 0-d power takes the scalar pow path)
-    return (scale * t.sum(axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
+    return (scale * np.add.reduce(t, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
 
 
 def _level_blocks(yhat: np.ndarray, w: np.ndarray):
@@ -614,18 +620,28 @@ def evaluate_norms(spec: SpaceSpec, X) -> np.ndarray:
     other Orlicz gauges take Newton steps on all rows together, each row
     stopping on its own.  Each row's value does not depend on the other rows.
     """
-    A = np.abs(np.asarray(X, dtype=float))
+    return _norms(spec, _finite(np.abs(np.asarray(X, dtype=float))))
+
+
+def _finite(A: np.ndarray) -> np.ndarray:
+    """The nonnegative array A, refused unless every entry is finite."""
+    # the maximum is inf or nan exactly when some entry is
+    if A.size and not np.maximum.reduce(A, axis=None) < math.inf:
+        raise ValueError("sequence entries must be finite")
+    return A
+
+
+def _norms(spec: SpaceSpec, A: np.ndarray) -> np.ndarray:
+    """evaluate_norms of a stack A that is nonnegative and finite already:
+    the family dispatch without the input checks."""
     n = A.shape[-1]
     if A.size == 0:
         return np.zeros(A.shape[:-1])
-    # the maximum is inf or nan exactly when some entry is
-    if not A.max() < math.inf:
-        raise ValueError("sequence entries must be finite")
     fam = spec.family
     if fam == "lp":
         return _pnorm(A, spec.p)
     if fam == "c0":
-        return A.max(axis=-1)
+        return np.maximum.reduce(A, axis=-1)
     if fam == "orlicz":
         p = _orlicz_power_exponent(spec.orlicz)
         if p is not None:

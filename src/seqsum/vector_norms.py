@@ -174,10 +174,10 @@ def _l2_to_lp_upper(M: np.ndarray, r: float, rows: np.ndarray):
     """The l2 -> lp(r) row of the table, given the l2 lengths of M's rows;
     each branch computes only what it reads."""
     if math.isinf(r):
-        return rows.max(axis=-1)
+        return np.maximum.reduce(rows, axis=-1)
     m = M.shape[-2]
     if r < 2.0 and m <= _SIGN_ENUM_LIMIT:
-        to_one = spaces._pnorm(np.abs(_sign_vectors(m) @ M), 2.0).max(axis=-1)
+        to_one = np.maximum.reduce(spaces._pnorm(np.abs(_sign_vectors(m) @ M), 2.0), axis=-1)
         if r == 1.0:
             return to_one
     sv = np.linalg.svd(M, compute_uv=False)[..., 0]
@@ -186,7 +186,7 @@ def _l2_to_lp_upper(M: np.ndarray, r: float, rows: np.ndarray):
     if r > 2.0:
         # pointwise |y|_r <= |y|_2^(2/r) |y|_inf^(1-2/r)
         t = 2.0 / r
-        return sv**t * rows.max(axis=-1) ** (1.0 - t)
+        return sv**t * np.maximum.reduce(rows, axis=-1) ** (1.0 - t)
     if m > _SIGN_ENUM_LIMIT:
         to_one = math.sqrt(m) * sv
         if r == 1.0:
@@ -214,21 +214,22 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         # a stack of one, so that one matrix takes the stack's array powers
         # and gets the same bits alone as in a stack
         M = np.atleast_2d(M)[None]
-    if M.size == 0 or not np.any(M):
+    if M.size == 0:
         return 0.0 if one else np.zeros(M.shape[:-2])
     d = M.shape[-1]
     p = dom.p
-    # the rows' dual lengths, for the normality bound |(Mx)_i| <= |row_i|_dom* |x|_dom
-    rows = spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p))
+    # the rows' dual lengths, for the normality bound |(Mx)_i| <= |row_i|_dom* |x|_dom;
+    # they are finite exactly when M is and no power sum overflows
+    rows = spaces._finite(spaces._pnorm(np.abs(M), spaces.conjugate_exponent(p)))
     if p == 1.0:
-        val = evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
+        val = np.maximum.reduce(spaces._norms(cod, np.abs(M.swapaxes(-1, -2))), axis=-1)
     elif math.isinf(p):
         if d <= _SIGN_ENUM_LIMIT:
             # column s of M S^T is M s, one image per sign vector
-            imgs = np.swapaxes(M @ _sign_vectors(d).T, -1, -2)
-            val = evaluate_norms(cod, imgs).max(axis=-1)
+            imgs = (M @ _sign_vectors(d).T).swapaxes(-1, -2)
+            val = np.maximum.reduce(evaluate_norms(cod, imgs), axis=-1)
         else:
-            val = d * evaluate_norms(cod, np.swapaxes(M, -1, -2)).max(axis=-1)
+            val = d * np.maximum.reduce(spaces._norms(cod, np.abs(M.swapaxes(-1, -2))), axis=-1)
     elif p == 2.0 and cod.family in ("lp", "c0"):
         val = _l2_to_lp_upper(M, cod.p if cod.family == "lp" else math.inf, rows)
     elif p == 2.0:
@@ -238,7 +239,7 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
         c2 = 1.0 if p <= 2.0 else d ** (0.5 - 1.0 / p)
         val = np.minimum(c2 * operator_norm_upper(M, lp_oracle(2.0, d), cod),
                          operator_norm_upper(M, lp_oracle(math.inf, d), cod))
-    val = np.minimum(val, evaluate_norms(cod, rows))
+    val = np.minimum(val, spaces._norms(cod, rows))
     return float(val[0]) if one else val
 
 
@@ -264,8 +265,10 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
     bound = operator_norm_upper(M, dom, cod)
 
     def objective(X):
-        # one product per row, so that a row scores the same bits in any stack
-        return evaluate_norms(cod, (M @ X[..., None])[..., 0])
+        # one product per row, so that a row scores the same bits in any stack;
+        # the images are finite, as X lies in the ball and bound checked that
+        # every row's dual length is
+        return spaces._norms(cod, np.abs((M @ X[..., None])[..., 0]))
 
     def norming_points():
         try:
@@ -417,8 +420,10 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
 
     def objective(flat):
         T = flat.reshape(flat.shape[:-1] + (m, d))
-        imgs = A @ np.swapaxes(T, -1, -2)  # row n holds T x_n
-        return evaluate_norms(spec, evaluate_norms(spec, imgs))
+        imgs = A @ T.swapaxes(-1, -2)  # row n holds T x_n
+        # finite: T lies in the operator ball, so |T x_n| <= |x_n|, and the
+        # strong norm, the search's target, has checked every |x_n|
+        return spaces._norms(spec, spaces._norms(spec, np.abs(imgs)))
 
     seeds = _mid_seeds(spec, xs, m, ball, weak_witness)
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,

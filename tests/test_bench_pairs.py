@@ -1,6 +1,8 @@
-"""The summary of tools/bench_pairs.py, on synthetic runs (no benchmark runs)."""
+"""The summary of tools/bench_pairs.py, on synthetic runs and digests (no benchmark runs)."""
 
 import importlib.util
+import json
+import os
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,62 @@ def test_summary_carries_the_verdict():
     s = bench_pairs.summarize(runs, METRICS)["w"]
     assert s["ops_per_s"]["verdict"] == "gain"
     assert s["latency_p50_s"]["verdict"] == "regressed"
+
+
+def _write_digest(root, workload, seed, values, counts, source="0123abcd"):
+    out = root / ".perfbench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    path = out / f"digest-{workload}-{seed}-{source}.json"
+    path.write_text(json.dumps({"values": values, "counts": counts}))
+
+
+def test_digests_compare_values_and_counts(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    counts = {"evals.optim.maximize_over_ball": 120}
+    _write_digest(parent, "chain", 7, ["a1", "b2"], counts)
+    # the sources differ, so the change's digest has another name
+    _write_digest(change, "chain", 7, ["a1", "b2"], counts, source="4567ef01")
+    _write_digest(parent, "chain", 8, ["a1", "b2"], counts)
+    _write_digest(change, "chain", 8, ["a1", "b3"], counts)
+    _write_digest(parent, "chain", 9, ["a1"], counts)
+    _write_digest(change, "chain", 9, ["a1"], {"evals.optim.maximize_over_ball": 121})
+    same = [bench_pairs.same_digests(bench_pairs.digest(str(parent), "chain", s),
+                                     bench_pairs.digest(str(change), "chain", s))
+            for s in (7, 8, 9, 10)]
+    # equal; a value differs; a count differs; no digest at all
+    assert same == [True, False, False, False]
+    assert bench_pairs.digest(str(parent), "scalar", 7) is None
+
+
+def test_summary_records_values_identical_per_workload():
+    runs = []
+    for i in range(2):
+        runs += [_run("w", i, "parent", 10.0, 0.1), _run("w", i, "change", 11.0, 0.1),
+                 _run("v", i, "parent", 10.0, 0.1), _run("v", i, "change", 11.0, 0.1)]
+    out = bench_pairs.summarize(runs, METRICS, {"w": [True, True], "v": [True, False]})
+    assert out["w"]["values_identical"] is True
+    assert out["v"]["values_identical"] is False
+    # a workload with no comparison is not identical
+    assert bench_pairs.summarize(runs, METRICS, {"w": [True]})["v"]["values_identical"] is False
+    assert "values_identical" not in bench_pairs.summarize(runs, METRICS)["w"]
+
+
+def test_each_side_runs_from_the_shared_path(tmp_path, monkeypatch):
+    seen = []
+
+    def fake_run_once(root, workload, seed):
+        seen.append((root, sorted(os.listdir(tmp_path))))
+        if seed == 2:
+            raise RuntimeError("run failed")
+        return {"correct": True}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    for side in bench_pairs.SIDES:
+        (tmp_path / side).mkdir()
+    assert bench_pairs.run_side(str(tmp_path), "change", "chain", 1) == {"correct": True}
+    with pytest.raises(RuntimeError):
+        bench_pairs.run_side(str(tmp_path), "parent", "chain", 2)
+    shared = str(tmp_path / "tree")
+    assert seen == [(shared, ["parent", "tree"]), (shared, ["change", "tree"])]
+    # each tree is back in its own place, after a failed run too
+    assert sorted(os.listdir(tmp_path)) == ["change", "parent"]

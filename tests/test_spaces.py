@@ -91,19 +91,35 @@ def test_empty_and_zero_sequences():
         assert spaces.evaluate_norm(spec, [0.0, 0.0, 0.0]) == 0.0
 
 
-@pytest.mark.parametrize("spec, ratio", [
-    (spaces.lp(1.5), 2.0 ** (1 / 1.5)),
-    (spaces.lp(2.0), math.sqrt(2.0)),
-    (spaces.lp(3.0), 2.0 ** (1 / 3)),
-    (spaces.garling_mu(GEOM_HALF, 2.0), math.sqrt(1.5)),
+_SCALED_PAIRS = [
+    (spaces.lp(1.5), 2.0 ** (1 / 1.5), "lp1.5"),
+    (spaces.lp(2.0), math.sqrt(2.0), "lp2"),
+    (spaces.lp(3.0), 2.0 ** (1 / 3), "lp3"),
+    (spaces.garling_mu(GEOM_HALF, 2.0), math.sqrt(1.5), "garling_mu"),
     # one pooled block: W = 1.5 and ratio 2x / 1.5, so nu^2 = 1.5 (4x/3)^2
-    (spaces.garling_nu(GEOM_HALF, 2.0), math.sqrt(8.0 / 3.0)),
-], ids=["lp1.5", "lp2", "lp3", "garling_mu", "garling_nu"])
-@pytest.mark.parametrize("scale", [1e308, 1e-200])
-def test_power_sums_neither_overflow_nor_underflow(spec, ratio, scale):
+    (spaces.garling_nu(GEOM_HALF, 2.0), math.sqrt(8.0 / 3.0), "garling_nu"),
+]
+
+
+@pytest.mark.parametrize("spec, x, want", [
+    pytest.param(spec, [scale, scale], ratio * scale, id=f"{scale!r}-{name}")
+    for scale in (1e308, 1e-200) for spec, ratio, name in _SCALED_PAIRS
+] + [
+    # exponents so large that each term (a / 2^k)^p of a maximum near 2^(k+1)
+    # overflows: p + log2(n) >= 1024
+    pytest.param(spaces.lp(2000), [1.5, 1.5], 1.5 * 2.0 ** (1 / 2000), id="lp2000"),
+    pytest.param(spaces.orlicz(OrliczFunction(kind="power", p=2000.0)), [1.5, 1.5],
+                 1.5 * 2.0 ** (1 / 2000), id="orlicz_power2000"),
+    # (1.9^1500 + 0.5)^(1/1500) = 1.9 (1 + 0.5 / 1.9^1500)^(1/1500), and
+    # 0.5 / 1.9^1500 is below 1e-418
+    pytest.param(spaces.garling_mu(GEOM_HALF, 1500), [1.9, 1.0], 1.9, id="garling_mu1500"),
+    # and a subnormal maximum, which the least normal float used to divide
+    pytest.param(spaces.lp(1100), [2.0**-1060, 2.0**-1070], 2.0**-1060, id="lp1100-subnormal"),
+])
+def test_power_sums_neither_overflow_nor_underflow(spec, x, want):
     with np.errstate(over="raise"):
-        got = spaces.evaluate_norm(spec, [scale, scale])
-    assert got == pytest.approx(ratio * scale, rel=1e-14, abs=0.0)
+        got = spaces.evaluate_norm(spec, x)
+    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # the tabulated gauge and the per-coordinate list of the benchmark's scalar deck

@@ -505,6 +505,44 @@ def test_operator_norm_upper_one_row_is_exact(stacked):
         _assert_attained(A, vn.lp_oracle(3, 3), spaces.lp(3), got)
 
 
+@pytest.mark.parametrize("cod", [spaces.lp(1), spaces.lp(3), spaces.lp(math.inf)],
+                         ids=["lp1", "lp3", "lpinf"])
+def test_operator_norm_upper_refuses_a_row_length_that_overflows(cod):
+    # the first row's l2 length, 2.1e308, is past the largest float: the bound
+    # and the weak norm's bound raise, where inf or nan would be no bound
+    M = np.array([[1.5e308, 1.5e308], [1.0, 2.0]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            vn.operator_norm_upper(M, vn.lp_oracle(2, 2), cod)
+        with pytest.raises(ValueError):
+            vn.operator_norm_upper(np.stack([np.eye(2), M]), vn.lp_oracle(2, 2), cod)
+        with pytest.raises(ValueError):
+            vn.weak_norm_upper(cod, seq("l2:2", M))
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                vn.operator_norm_upper([[1.0, bad]], vn.lp_oracle(2, 2), cod)
+
+
+@pytest.mark.parametrize("dom", ["l1:3", "l1.5:3", "l2:3", "l3:3", "linf:3"])
+def test_operator_norm_upper_of_zero_matrices_in_a_stack(dom):
+    # every branch gives +0.0 for a zero matrix, alone or inside a stack
+    # with nonzero ones, and a stack's values have the bits of each matrix alone
+    stack = np.random.default_rng(43).standard_normal((4, 2, 3))
+    stack[0] = stack[2] = 0.0
+    o = vn.oracle_from_label(dom)
+    cods = [spaces.lp(1), spaces.lp(1.5), spaces.lp(2), spaces.lp(3), spaces.lp(math.inf),
+            spaces.c0(), spaces.sargent_m(SQRT), spaces.garling_mu(GEOM_HALF, 2.0),
+            spaces.garling_nu(GEOM_HALF, 2.0),
+            spaces.orlicz(spaces.OrliczFunction("power_log", 1.5))]
+    for cod in cods:
+        vals = vn.operator_norm_upper(stack, o, cod).tolist()
+        alone = [vn.operator_norm_upper(M, o, cod) for M in stack]
+        assert [v.hex() for v in vals] == [a.hex() for a in alone], cod.label()
+        assert vals[0].hex() == vals[2].hex() == (0.0).hex(), cod.label()
+        zeros = vn.operator_norm_upper(np.zeros((2, 2, 3)), o, cod).tolist()
+        assert [v.hex() for v in zeros] == [(0.0).hex()] * 2, cod.label()
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, math.inf])
 def test_duality_maps_norm_each_row(p, scale):

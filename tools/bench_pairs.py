@@ -2,15 +2,19 @@
 
 Each revision is extracted with `git archive` into its own directory, and
 `python3 perfbench/run.py --workload W --seed S --seconds 30 --trace 0` runs
-from its root.  Pair i of a workload runs both sides on the same seed; the
-parent runs first when i is even, the change first when i is odd.  The file
-records every run's result (perfbench's result-<W>-<S>-trace0.json), and per
-workload and end-to-end metric the median and quartiles of each side, the
-number of pairs the change won, whether the change's median is within the
-metric's bound of the parent's, and a verdict: gain, within_bound,
-unresolved or regressed (see verdict).  The metrics, the direction in which
-each is better and its relative bound are read from the change's
-BENCHMARK.json.
+from its root.  For its runs a tree is moved to one path that both sides
+share, so that the paths in results (the CLI's report paths) are equal.
+Pair i of a workload runs both sides on the same seed; the parent runs first
+when i is even, the change first when i is odd.  The file records every
+run's result (perfbench's result-<W>-<S>-trace0.json), and per workload and
+end-to-end metric the median and quartiles of each side, the number of pairs
+the change won, whether the change's median is within the metric's bound of
+the parent's, and a verdict: gain, within_bound, unresolved or regressed (see
+verdict).  Per workload it also records values_identical: whether the two
+sides' digests (perfbench's digest-<W>-<S>-*.json, the fingerprints of every
+op's result and the deterministic counts) are equal in every pair.  The
+metrics, the direction in which each is better and its relative bound are
+read from the change's BENCHMARK.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
         --what "one line on the change" --seed-base 2500
@@ -23,6 +27,7 @@ on a 2-core x86-64 host.
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import subprocess
@@ -59,6 +64,32 @@ def run_once(root: str, workload: str, seed: int) -> dict:
         return json.load(fh)
 
 
+def run_side(tmp: str, side: str, workload: str, seed: int) -> dict:
+    """run_once on side's tree in tmp, moved for the run to the path that
+    both sides share."""
+    tree, shared = os.path.join(tmp, side), os.path.join(tmp, "tree")
+    os.rename(tree, shared)
+    try:
+        return run_once(shared, workload, seed)
+    finally:
+        os.rename(shared, tree)
+
+
+def digest(root: str, workload: str, seed: int) -> dict | None:
+    """The digest that a run of workload and seed left in root, or None."""
+    paths = glob.glob(os.path.join(root, ".perfbench_out", f"digest-{workload}-{seed}-*.json"))
+    if len(paths) != 1:
+        return None
+    with open(paths[0]) as fh:
+        return json.load(fh)
+
+
+def same_digests(a: dict | None, b: dict | None) -> bool:
+    """Both digests exist, with equal values and equal counts."""
+    return (a is not None and b is not None
+            and a["values"] == b["values"] and a["counts"] == b["counts"])
+
+
 def order(pair: int) -> tuple[str, str]:
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
@@ -89,7 +120,8 @@ def verdict(parent: list[float], change: list[float], wins: int, sign: float,
     return "within_bound" if -moved <= bound * abs(med) else "regressed"
 
 
-def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
+def summarize(runs: list[dict], metrics: list[tuple[str, str, float]],
+              identical: dict[str, list[bool]] | None = None) -> dict:
     """Per workload: each metric's median and quartiles on each side, the
     pairs the change won (strictly better, by the metric's direction),
     within_bound (the change's median is worse than the parent's by at most
@@ -98,7 +130,9 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
 
     runs holds records {"workload", "pair", "side", "result"}; metrics holds
     (name, "higher" or "lower", bound).  A run without metrics counts as not
-    correct and is left out of the figures, with its pair.
+    correct and is left out of the figures, with its pair.  identical holds,
+    per workload, whether each pair's digests were equal; values_identical
+    is true when every pair's were.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -124,6 +158,9 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str, float]]) -> dict:
         summary["runs_not_correct"] = {side: sum(not r["result"].get("correct", False)
                                                  for r in mine if r["side"] == side)
                                        for side in SIDES}
+        if identical is not None:
+            flags = identical.get(workload, [])
+            summary["values_identical"] = bool(flags) and all(flags)
         out[workload] = summary
     return out
 
@@ -156,22 +193,24 @@ def main(argv=None) -> int:
             extract(rev, roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
             metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
-        runs, seeds = [], {}
+        runs, seeds, identical = [], {}, {}
         for k, workload in enumerate(workloads):
             first = args.seed_base + 100 * k + 1
             seeds[workload] = f"{first}-{first + PAIRS - 1}"
             for i in range(PAIRS):
                 for j, side in enumerate(order(i)):
-                    result = run_once(roots[side], workload, first + i)
+                    result = run_side(tmp, side, workload, first + i)
                     runs.append({"workload": workload, "seed": first + i, "pair": i,
                                  "side": side, "ran_first": j == 0, "result": result})
                     print(f"{workload} pair {i} {side}: "
                           f"{result.get('metrics', {}).get('ops_per_s', {}).get('value')}",
                           file=sys.stderr, flush=True)
+                digests = [digest(roots[side], workload, first + i) for side in SIDES]
+                identical.setdefault(workload, []).append(same_digests(*digests))
 
     report = {"what": args.what, "command": COMMAND,
               "host": host(runs), "protocol": PROTOCOL, "seeds": seeds,
-              "summary": summarize(runs, metrics), "runs": runs}
+              "summary": summarize(runs, metrics, identical), "runs": runs}
     with open(f"BENCH_{args.label}.json", "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
