@@ -206,7 +206,8 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
     lengths.  It is the norm itself from l1 (the largest column), from linf
     (sign enumeration), on l2 into l1 or l2, and into linf or c0 (the
     normality bound); elsewhere it interpolates through l2 and linf.
-    operator_norm certifies a norming point against it.
+    operator_norm certifies a norming point against it.  It raises
+    ValueError when some row's dual length is not a finite float.
     """
     M = np.asarray(M, dtype=float)
     one = M.ndim <= 2

@@ -41,7 +41,7 @@ PAIRS = 10
 SECONDS = 30
 COMMAND = f"python3 perfbench/run.py --workload W --seed S --seconds {SECONDS} --trace 0"
 PROTOCOL = ("alternating pairs: in pair i the parent runs first when i is even; "
-            "each side runs from its own git archive")
+            "each side runs from its own git archive, moved to one shared path for its runs")
 
 
 def extract(rev: str, dest: str) -> None:
