@@ -113,7 +113,8 @@ _SCALED_PAIRS = [
     # (1.9^1500 + 0.5)^(1/1500) = 1.9 (1 + 0.5 / 1.9^1500)^(1/1500), and
     # 0.5 / 1.9^1500 is below 1e-418
     pytest.param(spaces.garling_mu(GEOM_HALF, 1500), [1.9, 1.0], 1.9, id="garling_mu1500"),
-    # and a subnormal maximum, which the least normal float used to divide
+    # past the threshold a subnormal maximum divides its own row, where the
+    # least normal float as divisor gives 0
     pytest.param(spaces.lp(1100), [2.0**-1060, 2.0**-1070], 2.0**-1060, id="lp1100-subnormal"),
 ])
 def test_power_sums_neither_overflow_nor_underflow(spec, x, want):
