@@ -61,28 +61,29 @@ class InfeasibleSeedError(ValueError):
     """A caller-supplied starting point is not in the search domain."""
 
 
+# the compass steps: the first step of a restart, the factor by which a sweep
+# that moves no coordinate shrinks it, and the step below which the restart
+# stops, converged
+_INIT_STEP = 0.5
+_SHRINK = 0.5
+_MIN_STEP = 1e-9
+
+
 @dataclass(frozen=True)
 class OptBudget:
     """Search effort knobs.
 
     iterations counts full coordinate sweeps per restart, not objective
-    evaluations.  A restart stops early once the step drops below min_step.
+    evaluations.  A restart stops early once its step drops below _MIN_STEP.
     """
 
     restarts: int = 8
     iterations: int = 300
-    init_step: float = 0.5
-    shrink: float = 0.5
-    min_step: float = 1e-9
     seed: int = 1729
 
     def __post_init__(self):
         if self.restarts < 1 or self.iterations < 1:
             raise ValueError("budget needs restarts >= 1 and iterations >= 1")
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.init_step <= 0.0 or self.min_step <= 0.0:
-            raise ValueError("steps must be positive")
 
 
 @dataclass(eq=False)
@@ -211,11 +212,6 @@ def _checked(vals) -> np.ndarray:
     return vals
 
 
-def _score(objective, points: np.ndarray) -> np.ndarray:
-    """Objective values of a stack of points, raising on any NaN."""
-    return _checked(objective(points))
-
-
 def _first_improvement(P: np.ndarray, F: np.ndarray, best: float):
     """First row of the scored stack (P, F) that beats best, in row order.
 
@@ -242,7 +238,7 @@ def _poll_rows(objective, domain: Ball, C: np.ndarray, best: float):
     candidate that this poll reaches."""
     for j in range(C.shape[0]):
         p = domain.project(C[j:j + 1])
-        f = _score(objective, p)[0]
+        f = _checked(objective(p))[0]
         if f > best:
             return j, p[0], float(f)
     return None, None, best
@@ -265,8 +261,8 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
     """
     x = np.array(x0, dtype=float)
     scored = yield x[None]
-    best = float((_score(objective, x[None]) if scored is None else _checked(scored[1]))[0])
-    step = budget.init_step
+    best = float(_checked(objective(x[None]) if scored is None else scored[1])[0])
+    step = _INIT_STEP
     evals = 1
     converged = False
     dim = domain.dim
@@ -297,22 +293,12 @@ def _sweep(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
             # the next coordinate after the one that moved
             start += (j // 2 + 1) * 2
         if not moved:
-            step *= budget.shrink
-            if step < budget.min_step:
+            step *= _SHRINK
+            if step < _MIN_STEP:
                 converged = True
                 break
             delta = sign * step
     return x, best, converged, evals
-
-
-def _stack_scores(objective, domain: Ball, C: np.ndarray, project: bool):
-    """(P, F): the stack C, projected if project, and its values; None if
-    that raises."""
-    try:
-        P = domain.project(C) if project else C
-        return P, np.asarray(objective(P), dtype=float)
-    except Exception:
-        return None
 
 
 def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
@@ -321,12 +307,11 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
     A generator of ticks.  On each tick the stacks of every live search are
     concatenated, projected and scored in one call, and each search takes
     its own slice; the first tick scores the starts, points of the domain,
-    as they are.
-    If that call raises, each search's stack is scored on its own, and a
-    stack that raises there too is polled one row at a time.  After each
-    tick it yields the outcomes, one per start: None while that search
-    runs, then its (best_x, best_f, converged, evals), or the exception it
-    raised, held for the caller.  By the stack contract a row scores the
+    as they are.  If that call raises, every search of the tick polls its
+    stack one row at a time, so an error surfaces only at a candidate that
+    the one-at-a-time poll reaches.  After each tick it yields the outcomes,
+    one per start: None while that search runs, then its (best_x, best_f,
+    converged, evals), or the exception it raised, held for the caller.  By the stack contract a row scores the
     same bits in any stack, so each search follows the trajectory it has
     alone.  Searches still running when the caller stops are dropped.
     """
@@ -348,44 +333,33 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
     while live:
         tick, live = live, []
         blocks = [C for _, C in tick]
-        scored = _stack_scores(objective, domain, np.concatenate(blocks), project)
-        if scored is not None:
-            P, F = scored
+        try:
+            stack = np.concatenate(blocks)
+            P = domain.project(stack) if project else stack
+            F = np.asarray(objective(P), dtype=float)
+        except Exception:
+            answers = [None] * len(blocks)
+        else:
             answers, a = [], 0
             for C in blocks:
                 b = a + len(C)
                 answers.append((P[a:b], F[a:b]))
                 a = b
-        elif len(blocks) > 1 and project:
-            answers = [_stack_scores(objective, domain, C, project) for C in blocks]
-        else:
-            # a lone stack, or the one-row starts: nothing smaller to try
-            answers = [None] * len(blocks)
         for (i, _), answer in zip(tick, answers):
             advance(i, answer)
         project = True
         yield outcomes
 
 
-def _sweep_search(objective, domain: Ball, x0: np.ndarray, budget: OptBudget):
-    """Compass search from x0: the lockstep driver with one start.
-    Returns (best_x, best_f, converged, evals)."""
-    for outcomes in _lockstep(objective, domain, [x0], budget):
-        pass
-    if isinstance(outcomes[0], Exception):
-        raise outcomes[0]
-    return outcomes[0]
-
-
 def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
          target: float | None = None):
     budget = budget or OptBudget()
     if domain.dim == 0:
-        val = sign * float(_score(objective, np.zeros((1, 0)))[0])
+        val = sign * float(_checked(objective(np.zeros((1, 0))))[0])
         return np.zeros(0), val, True, {"evals": 1, "restarts": 0}
 
     if sign > 0.0:
-        # the values as they are: _checked and _stack_scores make them floats
+        # the values as they are: _checked and _lockstep make them floats
         f = objective
     else:
         def f(V):
@@ -414,7 +388,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     # every seed is scored as-is up front, so the final value can never fall
     # below the best seed even if every restart wanders off
     if len(prepared):
-        vals = _score(f, prepared)
+        vals = _checked(f(prepared))
         total_evals += len(prepared)
         for i, val in enumerate(vals):
             if val > best_f:
@@ -457,7 +431,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     if domain.to_boundary is not None and best_x is not None:
         xb = domain.to_boundary(best_x)
         if np.all(np.isfinite(xb)) and domain.membership(xb):
-            vb = float(_score(f, xb[None])[0])
+            vb = float(_checked(f(xb[None]))[0])
             total_evals += 1
             if vb >= best_f:
                 best_f, best_x = vb, xb
@@ -465,7 +439,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
     if best_x is None:
         raise RuntimeError("search produced no candidate point")
     # recompute at the reported witness so value and witness always agree
-    best_f = float(_score(f, best_x[None])[0])
+    best_f = float(_checked(f(best_x[None]))[0])
     details = {"evals": total_evals, "restarts": budget.restarts, "domain": domain.label}
     if met():
         details.update(stop="certificate", restarts_run=len(flags))

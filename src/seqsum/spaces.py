@@ -57,10 +57,6 @@ _FAMILIES = (
     "c0",
 )
 
-_TINY = np.finfo(float).tiny
-# the exponent bits of a float64: masking a positive float with them gives
-# the largest power of two not above it
-_EXPONENT = np.int64(0x7FF0000000000000)
 # a Luxemburg gauge stops within _GAUGE_TOL of its root, relative, and steps
 # out by _GAUGE_MARGIN, which exceeds the rounding of its modular
 _GAUGE_TOL = 2.0**-42
@@ -450,9 +446,10 @@ def decreasing_rearrangement(coeffs) -> np.ndarray:
 
 
 def _pow2_floor(mx):
-    """Largest power of two at or below each maximum, floored at the least
-    normal float; dividing by it and multiplying back are exact."""
-    return np.maximum((mx.view(np.int64) & _EXPONENT).view(np.float64), _TINY)
+    """Largest power of two at or below each positive maximum, subnormals
+    included, and 1/2 for a zero; dividing by it and multiplying back are
+    exact unless a result underflows."""
+    return np.ldexp(0.5, np.frexp(mx)[1])
 
 
 def _luxemburg(A: np.ndarray, fns) -> np.ndarray:
@@ -542,7 +539,7 @@ def _pnorm(A: np.ndarray, p: float, weights: np.ndarray | None = None) -> np.nda
     if math.isinf(p):
         return mx[..., 0]
     if p + math.log2(max(A.shape[-1], 1)) < 1024.0:
-        # the floor keeps zero rows at 0 and only replaces a subnormal maximum
+        # a zero row is divided by 1/2 and keeps norm 0
         scale = _pow2_floor(mx)
     else:
         scale = np.where(mx > 0.0, mx, 1.0)
@@ -790,9 +787,9 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
                                bound_direction="lower-of-sup" if dual is None else "exact",
                                converged=True)
     # the pairing and the analytic value are computed for beta / scale, with
-    # scale a power of two at or below the largest modulus, so that no
-    # product or norm rounds to a subnormal; dividing by it and multiplying
-    # back are exact in the normal range
+    # scale the power of two at or below the largest modulus, subnormal or
+    # not, so that no product or norm rounds to a subnormal; dividing by it
+    # is exact, and so is multiplying back wherever the result is normal
     scale = float(_pow2_floor(np.abs(beta).max()))
     b = beta / scale
     target = None if dual is None else evaluate_norm(dual, b)

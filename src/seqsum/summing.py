@@ -131,10 +131,15 @@ def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> np.ndarray:
     return ball.project(np.stack(seeds))
 
 
+def _image_lengths(T: OperatorMatrix, flat: np.ndarray, n: int) -> np.ndarray:
+    """Lengths of the images (T x_i)_i, for one flat sequence or a stack."""
+    X = flat.reshape(flat.shape[:-1] + (n, T.domain.dim))
+    return vn.row_lengths(T.codomain, X @ T.entries.T)
+
+
 def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
     """Strong norm of the images (T x_i)_i, for one flat sequence or a stack."""
-    X = flat.reshape(flat.shape[:-1] + (n, T.domain.dim))
-    return evaluate_norms(spec, vn.row_lengths(T.codomain, X @ T.entries.T))
+    return evaluate_norms(spec, _image_lengths(T, flat, n))
 
 
 def _summing_upper(spec: SpaceSpec, T: OperatorMatrix) -> float:
@@ -184,7 +189,8 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
     ball = vn._operator_ball(T.domain.flip(), spec, n)
 
     def objective(flat):
-        return _image_strong(spec, T, flat, n)
+        # finite: the points lie in the operator ball
+        return spaces._norms(spec, _image_lengths(T, flat, n))
 
     return optim.maximize_over_ball(objective, ball, budget=budget,
                                     seeds=_sequence_seeds(T, n, ball),
@@ -244,7 +250,8 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
         S = flat[..., : m * e].reshape(flat.shape[:-1] + (m, e))
         X = flat[..., m * e:].reshape(flat.shape[:-1] + (n, d))
         imgs = X @ T.entries.T @ np.swapaxes(S, -1, -2)
-        return evaluate_norms(spec, evaluate_norms(spec, imgs))
+        # finite: both blocks lie in operator balls
+        return spaces._norms(spec, spaces._norms(spec, np.abs(imgs)))
 
     # rank-one S sending the top image direction to the first coordinate
     try:

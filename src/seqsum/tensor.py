@@ -27,7 +27,7 @@ import numpy as np
 from . import optim, spaces, vector_norms as vn
 from .optim import OptBudget, Witnessed
 from .spaces import SpaceSpec, evaluate_norm, evaluate_norms
-from .summing import OperatorMatrix, operator_norm
+from .summing import OperatorMatrix
 from .vector_norms import NormOracle, VectorSequence
 
 __all__ = [
@@ -272,8 +272,7 @@ def injective_norm(u: Tensor, budget: OptBudget | None = None) -> Witnessed:
     codomain's dual into the domain, by operator_norm.  The witness is (f, g),
     with g operator_norm's witness and f the functional that norms E g."""
     E = u.entries
-    op = operator_norm(OperatorMatrix(domain=u.codomain.flip(), codomain=u.domain,
-                                      entries=E), budget=budget)
+    op = vn.operator_norm(E, u.codomain.flip(), spaces.lp(u.domain.p), budget)
     g = op.witness
     f = vn._duality_maps(u.domain.flip().p, (E @ g)[None])[0]
     return replace(op, witness=np.concatenate([f, g]))

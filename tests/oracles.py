@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from seqsum import optim
+
 
 def lorentz_perm_oracle(weights: np.ndarray, p: float, seq) -> float:
     """Maximise (sum w_j |a_sigma(j)|^p)^(1/p) over all permutations sigma."""
@@ -259,19 +261,19 @@ def spectral_norm_grid_oracle(M, grid: int = 2880) -> float:
 
 
 def sequential_sweep_search(objective, domain, x0, budget):
-    """Compass search with the one-candidate-at-a-time poll.
+    """Compass search with the one-candidate-at-a-time poll, on optim's steps.
 
-    The reference for the speculative poll of optim._sweep_search: each
-    candidate is built, projected and scored on its own, as the one-row
-    stack C[i:i+1], and the sweep moves on at the first improvement.  x0 is
-    a point of the domain, and is scored as it is.
+    The reference for the speculative poll of optim._sweep: each candidate
+    is built, projected and scored on its own, as the one-row stack
+    C[i:i+1], and the sweep moves on at the first improvement.  x0 is a
+    point of the domain, and is scored as it is.
     Returns (best_x, best_f, converged, evals).
     """
     x = np.array(x0, dtype=float)
     best = float(objective(x[None])[0])
     if math.isnan(best):
         raise ValueError("objective returned NaN")
-    step = budget.init_step
+    step = optim._INIT_STEP
     evals = 1
     converged = False
     for _ in range(budget.iterations):
@@ -291,8 +293,8 @@ def sequential_sweep_search(objective, domain, x0, budget):
                     moved = True
                     break
         if not moved:
-            step *= budget.shrink
-            if step < budget.min_step:
+            step *= optim._SHRINK
+            if step < optim._MIN_STEP:
                 converged = True
                 break
     return x, best, converged, evals

@@ -179,12 +179,11 @@ def test_min_target_met_by_a_seed_runs_no_restart():
 def test_min_target_met_by_a_restart_skips_the_rest():
     # a loose lower bound: the first restart gets within it and the other
     # seven are skipped, with the count of evaluations the one restart made
-    budget = OptBudget(restarts=8, iterations=300, min_step=1e-6)
+    budget = OptBudget(restarts=8, iterations=300)
     res = optim.minimize_over_family(_l1_offset, optim.free_domain(3), budget=budget,
                                      seeds=[np.zeros(3)], target=1.0 + 1e-3)
     one = optim.minimize_over_family(_l1_offset, optim.free_domain(3),
-                                     budget=OptBudget(restarts=1, iterations=300,
-                                                      min_step=1e-6),
+                                     budget=OptBudget(restarts=1, iterations=300),
                                      seeds=[np.zeros(3)])
     assert res.details["restarts_run"] == 1
     assert res.details["stop"] == "certificate"
@@ -258,8 +257,6 @@ def test_budget_validation():
         OptBudget(restarts=0)
     with pytest.raises(ValueError):
         OptBudget(iterations=-1)
-    with pytest.raises(ValueError):
-        OptBudget(init_step=0.0)
 
 
 def test_value_recomputed_at_witness():
@@ -311,12 +308,11 @@ def _mid_objective(A, spec, m, d):
     return objective
 
 
-def _assert_same_trajectory(objective, domain, x0, budget):
-    got = optim._sweep_search(objective, domain, x0, budget)
-    want = oc.sequential_sweep_search(objective, domain, x0, budget)
-    assert np.array_equal(got[0], want[0])
-    assert got[1:] == want[1:]
-    assert type(got[3]) is int
+def _assert_same_trajectory(objective, domain, x0, iterations):
+    # one restart from the seed x0, against the one-at-a-time poll
+    res = _assert_sequential(objective, domain, OptBudget(restarts=1, iterations=iterations),
+                             seeds=[x0])
+    assert type(res.details["evals"]) is int
 
 
 @pytest.mark.parametrize("r", [1.0, 2.0, math.inf])
@@ -328,9 +324,7 @@ def test_speculative_poll_keeps_trajectory_on_operator_ball(p, r):
     A = rng.standard_normal((n, d))
     spec = spaces.lp(p)
     ball = vn._operator_ball(vn.lp_oracle(r, d), spec, m)
-    budget = OptBudget(iterations=60)
-    _assert_same_trajectory(_mid_objective(A, spec, m, d), ball, ball.random_point(rng),
-                            budget)
+    _assert_same_trajectory(_mid_objective(A, spec, m, d), ball, ball.random_point(rng), 60)
 
 
 def test_speculative_poll_keeps_trajectory_on_free_minimisation():
@@ -346,8 +340,7 @@ def test_speculative_poll_keeps_trajectory_on_free_minimisation():
         return -np.where(ok, tensor._block_cost(lam, lam, u, Xm, Ym), math.inf)
 
     dom = optim.free_domain(4, scale=0.4)
-    budget = OptBudget(iterations=80)
-    _assert_same_trajectory(neg_cost, dom, np.array([0.3, -0.2, 0.1, 0.5]), budget)
+    _assert_same_trajectory(neg_cost, dom, np.array([0.3, -0.2, 0.1, 0.5]), 80)
 
 
 def test_poll_scores_only_what_the_sequential_poll_reaches():
@@ -361,23 +354,26 @@ def test_poll_scores_only_what_the_sequential_poll_reaches():
             raise RuntimeError("candidate past the accepted one")
         return np.minimum(X, 1.0).sum(axis=1)
 
-    budget = OptBudget(iterations=30, min_step=1e-3)
     for objective in (nan_after, raise_after):
-        _assert_same_trajectory(objective, optim.free_domain(2), np.zeros(2), budget)
+        _assert_same_trajectory(objective, optim.free_domain(2), np.zeros(2), 30)
 
 
 def test_converged_is_the_winning_restarts_flag():
-    # restart 0 sits on a local maximum and converges; restart 1 climbs the
-    # higher hill and runs out of iterations, and it is the one that wins
+    # restart 0 sits on a local maximum and converges, its step halved in
+    # 29 sweeps from 0.5 to below 1e-9; restart 1 climbs the higher hill by
+    # 0.5 a sweep, reaches its top in the last of its 30 sweeps, and wins
     def objective(X):
         x = X[:, 0]
         return np.maximum(-x * x, 1000.0 - (x - 100.0) ** 2)
 
-    budget = OptBudget(restarts=2, iterations=3, init_step=0.5, shrink=0.5, min_step=0.1)
+    budget = OptBudget(restarts=2, iterations=30)
     res = optim.maximize_over_ball(objective, optim.free_domain(1), budget=budget,
-                                   seeds=[np.array([0.0]), np.array([90.0])])
-    assert res.witness[0] == pytest.approx(91.5)
+                                   seeds=[np.array([0.0]), np.array([85.0])])
+    assert res.witness[0] == 100.0
     assert res.converged is False
+    # two seeds scored, restart 0's start and 29 sweeps of two candidates,
+    # restart 1's start and 30 sweeps that each take their first candidate
+    assert res.details["evals"] == 2 + (1 + 2 * 29) + (1 + 30)
     # a seed that its own restart cannot improve keeps that restart's flag
     res = optim.maximize_over_ball(objective, optim.free_domain(1), budget=budget,
                                    seeds=[np.array([0.0])])
@@ -497,7 +493,7 @@ def test_lockstep_falls_back_per_restart_when_the_stack_raises():
 
     seeds = [np.zeros(2), np.array([0.2, 0.5]), np.array([-1.0, 0.25])]
     _assert_sequential(objective, optim.free_domain(2),
-                       OptBudget(restarts=3, iterations=30, min_step=1e-3), seeds)
+                       OptBudget(restarts=3, iterations=30), seeds)
 
 
 def _searches_of(run):
