@@ -311,9 +311,10 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
     stack one row at a time, so an error surfaces only at a candidate that
     the one-at-a-time poll reaches.  After each tick it yields the outcomes,
     one per start: None while that search runs, then its (best_x, best_f,
-    converged, evals), or the exception it raised, held for the caller.  By the stack contract a row scores the
-    same bits in any stack, so each search follows the trajectory it has
-    alone.  Searches still running when the caller stops are dropped.
+    converged, evals), or the exception it raised, held for the caller.  By
+    the stack contract a row scores the same bits in any stack, so each
+    search follows the trajectory it has alone.  Searches still running when
+    the caller stops are dropped.
     """
     sweeps = [_sweep(objective, domain, x0, budget) for x0 in starts]
     outcomes = [None] * len(sweeps)
@@ -333,8 +334,8 @@ def _lockstep(objective, domain: Ball, starts, budget: OptBudget):
     while live:
         tick, live = live, []
         blocks = [C for _, C in tick]
+        stack = np.concatenate(blocks)
         try:
-            stack = np.concatenate(blocks)
             P = domain.project(stack) if project else stack
             F = np.asarray(objective(P), dtype=float)
         except Exception:
