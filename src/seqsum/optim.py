@@ -10,10 +10,12 @@ Both searches take an optional target, a certified bound on the other side
 of the value that the caller computes: an upper bound of a sup, a lower
 bound of an inf.  The search stops once its best value is within 1e-12
 relative of the target, checked after the seeds and before each restart.  A
-result that meets it is "exact" and converged, since the gap is closed; one
-that does not is the untargeted search's result bit for bit, and either
-carries the target as certified_bound.  Otherwise converged is the flag of
-the restart that produced the witness.
+result that meets it is "exact" and converged, since the gap is closed; it
+keeps its best point as it is, without the polish onto the sphere, which
+could raise the value by no more than the 1e-12 that the stop forgives.  One
+that does not meet it is the untargeted search's result bit for bit, and
+either carries the target as certified_bound.  Otherwise converged is the
+flag of the restart that produced the witness.
 
 Determinism contract: identical inputs and budget (including the seed) give
 bit-identical results.  Each restart draws from its own child generator of
@@ -29,9 +31,10 @@ Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
 of values, and Ball.project and Ball.membership act on the last axis of an
 array with any leading batch axes.  Row i of any of these results must not
 depend on the other rows, so a point scores, projects and tests the same
-alone or inside a stack; the seeds are tested and projected as one stack.
-Every unit ball of a gauge (a scalar norm, an oracle norm, an operator or
-handle bound) is built by gauge_ball from a stacked gauge (..., dim) -> (...).
+alone or inside a stack; the seeds are tested and projected as one stack,
+by one Ball.admit call.  Every unit ball of a gauge (a scalar norm, an
+oracle norm, an operator or handle bound) is built by gauge_ball from a
+stacked gauge (..., dim) -> (...), and admits a stack in one gauge call.
 """
 
 from __future__ import annotations
@@ -123,11 +126,14 @@ class Ball:
 
     project must be idempotent and land inside the feasible set.  membership
     is the ground-truth feasibility test, a bool for each point.  Both act on
-    the last axis, row by row, of a point or a stack of points.  random_point
-    returns a point that is projected already, since the search starts from
-    it as it is.  to_boundary, when set, rescales a nonzero point onto the unit
-    sphere of the domain; the search polishes its best point with it, and
-    keeps the rescaled point only if it scores at least as well.
+    the last axis, row by row, of a point or a stack of points.  admit(V)
+    returns (membership(V), project(V)), which is its default; a domain that
+    can compute both from one pass sets it.  The search admits its seeds
+    with it.  random_point returns a point that is projected already, since
+    the search starts from it as it is.  to_boundary, when set, rescales a
+    nonzero point onto the unit sphere of the domain; a search that does not
+    meet its target polishes its best point with it, and keeps the rescaled
+    point only if it scores at least as well.
     """
 
     dim: int
@@ -136,6 +142,12 @@ class Ball:
     random_point: Callable[[np.random.Generator], np.ndarray]
     to_boundary: Callable[[np.ndarray], np.ndarray] | None = None
     label: str = "domain"
+    admit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+
+    def __post_init__(self):
+        if self.admit is None:
+            object.__setattr__(self, "admit",
+                               lambda V: (self.membership(V), self.project(V)))
 
 
 def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) -> Ball:
@@ -143,12 +155,20 @@ def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) 
 
     project divides each point by max(gauge, 1), to_boundary divides a
     nonzero point by its gauge, membership allows 1e-9 of float drift, and
-    random_point projects a standard normal.  project and membership take a
-    point or a stack, as the gauge does.
+    random_point projects a standard normal.  admit gives membership and
+    project from one gauge call.  Each takes a point or a stack, as the
+    gauge does.
     """
 
+    def scaled(V, g):
+        return V / np.maximum(g, 1.0)[..., None]
+
     def project(V):
-        return V / np.maximum(gauge(V), 1.0)[..., None]
+        return scaled(V, gauge(V))
+
+    def admit(V):
+        g = gauge(V)
+        return g <= 1.0 + 1e-9, scaled(V, g)
 
     def to_boundary(v):
         g = float(gauge(v))
@@ -161,6 +181,7 @@ def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) 
         random_point=lambda rng: project(rng.standard_normal(dim)),
         to_boundary=to_boundary,
         label=label,
+        admit=admit,
     )
 
 
@@ -176,7 +197,8 @@ def free_domain(dim: int, scale: float = 1.0, label: str = "free") -> Ball:
 
 
 def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
-    """Cartesian product of domains, searched as one flat vector."""
+    """Cartesian product of domains, searched as one flat vector; admit
+    calls each part's admit once."""
     dims = [b.dim for b in parts]
     offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
     total = int(offsets[-1])
@@ -192,6 +214,10 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
         return np.logical_and.reduce([b.membership(piece)
                                       for b, piece in zip(parts, split(v))])
 
+    def admit(v):
+        oks, pieces = zip(*(b.admit(piece) for b, piece in zip(parts, split(v))))
+        return np.logical_and.reduce(oks), np.concatenate(pieces, axis=-1)
+
     def random_point(rng):
         return np.concatenate([b.random_point(rng) for b in parts])
 
@@ -201,6 +227,7 @@ def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
         membership=membership,
         random_point=random_point,
         label=label or "x".join(b.label for b in parts),
+        admit=admit,
     )
 
 
@@ -372,14 +399,14 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
             raise InfeasibleSeedError(
                 f"seed {i} of shape {arr.shape} unusable for {domain.label} (dim {domain.dim})"
             )
-    prepared = np.stack(rows) if rows else np.zeros((0, domain.dim))
+    prepared = np.zeros((0, domain.dim))
     if rows:
-        failed = np.flatnonzero(~np.asarray(domain.membership(prepared)))
+        # projection only cleans up float drift; feasibility is tested on the
+        # raw seeds, so the seed-domination guarantee refers to the caller's point
+        ok, prepared = domain.admit(np.stack(rows))
+        failed = np.flatnonzero(~np.asarray(ok))
         if failed.size:
             raise InfeasibleSeedError(f"seed {failed[0]} fails membership in {domain.label}")
-        # projection only cleans up float drift; feasibility was checked raw so
-        # the seed-domination guarantee refers to the caller's point
-        prepared = domain.project(prepared)
 
     best_x, best_f = None, -math.inf
     # index of the restart the witness came from; a seed counts as the
@@ -429,7 +456,9 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
         if val > best_f:
             best_f, best_x, winner = val, x, r
 
-    if domain.to_boundary is not None and best_x is not None:
+    # a search that meets its target keeps its best point: the polish could
+    # gain no more than the 1e-12 that the stop forgives
+    if domain.to_boundary is not None and best_x is not None and not met():
         xb = domain.to_boundary(best_x)
         if np.all(np.isfinite(xb)) and domain.membership(xb):
             vb = float(_checked(f(xb[None]))[0])
@@ -455,10 +484,12 @@ def maximize_over_ball(objective, domain: Ball, budget: OptBudget | None = None,
     """Witnessed lower bound of sup { objective(x) : x in domain }.
 
     The witness is feasible by construction, so the reported value is sound.
-    Optional seeds are scored directly and also used as restart origins; a
-    seed that fails membership raises InfeasibleSeedError rather than being
-    silently dropped.  target is a certified upper bound of the sup; the
-    search stops at it, and a value that meets it is "exact".
+    Optional seeds are admitted as one stack by domain.admit, scored
+    directly and also used as restart origins; a seed that fails membership
+    raises InfeasibleSeedError rather than being silently dropped.  target is
+    a certified upper bound of the sup; the search stops at it, and a value
+    that meets it is "exact", at the best point found, with no polish onto
+    the sphere.
     """
     x, val, conv, det = _run(objective, domain, budget, seeds, sign=1.0, target=target)
     return Witnessed(value=val, witness=x,

@@ -111,15 +111,21 @@ def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
 # Test sequences
 
 
-def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball) -> np.ndarray:
-    M = T.entries
+def _top_singular_pair(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The top left and right singular vectors of M, from one SVD, or the
+    first basis vectors when the SVD does not converge."""
+    try:
+        U, _, Vt = np.linalg.svd(M)
+        return U[:, 0], Vt[0]
+    except np.linalg.LinAlgError:
+        return np.eye(M.shape[0])[0], np.eye(M.shape[1])[0]
+
+
+def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball, top: np.ndarray) -> np.ndarray:
+    """The test sequences the searches start from, with top the top right
+    singular vector of T, projected into ball as one stack."""
     d = T.domain.dim
     seeds = []
-    try:
-        _, _, Vt = np.linalg.svd(M)
-        top = Vt[0]
-    except np.linalg.LinAlgError:
-        top = np.eye(d)[0]
     single = np.zeros((n, d))
     single[0] = top
     seeds.append(single.ravel())
@@ -192,8 +198,8 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
         # finite: the points lie in the operator ball
         return spaces._norms(spec, _image_lengths(T, flat, n))
 
-    return optim.maximize_over_ball(objective, ball, budget=budget,
-                                    seeds=_sequence_seeds(T, n, ball),
+    seeds = _sequence_seeds(T, n, ball, _top_singular_pair(T.entries)[1])
+    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
                                     target=_summing_upper(spec, T))
 
 
@@ -253,11 +259,9 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
         # finite: both blocks lie in operator balls
         return spaces._norms(spec, spaces._norms(spec, np.abs(imgs)))
 
-    # rank-one S sending the top image direction to the first coordinate
-    try:
-        out_dir = np.linalg.svd(T.entries)[0][:, 0]
-    except np.linalg.LinAlgError:
-        out_dir = np.eye(e)[0]
+    # rank-one S sending the top image direction to the first coordinate;
+    # the SVD that finds it gives the sequence seeds their top direction too
+    out_dir, top = _top_singular_pair(T.entries)
     c = spaces.unit_vector_norm(spec, 1)
     S0 = np.zeros((m, e))
     g = out_dir if T.codomain.p == 2.0 else np.sign(out_dir)
@@ -267,7 +271,7 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
     ops = [S0]
     if m >= e:
         ops.append(np.eye(m, e))
-    xs_seeds = _sequence_seeds(T, n, xs_ball)
+    xs_seeds = _sequence_seeds(T, n, xs_ball, top)
     op_seeds = op_ball.project(np.stack([S.ravel() for S in ops]))
     seeds = [np.concatenate([S, xs_seed]) for S in op_seeds for xs_seed in xs_seeds]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,

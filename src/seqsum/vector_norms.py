@@ -451,10 +451,11 @@ def chain_check(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
     The mid search is seeded from the weak witness, which is what makes the
     first inequality hold by construction; the second holds because every
     feasible operator contracts each vector and the scalar norm is monotone.
+    The strong norm is the mid search's target, read from its certified_bound.
     """
     w = weak_norm(spec, xs, budget=budget)
     mid = mid_norm(spec, xs, m=m, budget=budget, weak_witness=w.witness)
-    s = strong_norm(spec, xs)
+    s = mid.certified_bound
     violations = []
     if optim.exceeds(w.value, mid.value):
         violations.append(f"weak {w.value!r} exceeds mid {mid.value!r}")

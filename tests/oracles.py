@@ -307,10 +307,11 @@ def sequential_run(objective, domain, budget, seeds=(), sign=1.0, target=None):
     are projected and scored one at a time; then, while the target is not
     met, restart r runs sequential_sweep_search from projected seed r, or
     from the point that domain.random_point draws from the generator of
-    SeedSequence(entropy=budget.seed, spawn_key=(r,)).  The best point is
-    rescaled onto the sphere of the domain if that scores no worse, and
-    rescored.  sign is 1 for a sup and -1 for an inf, target a certified
-    bound on the other side.  Returns (witness, value, converged, details),
+    SeedSequence(entropy=budget.seed, spawn_key=(r,)).  Unless the target is
+    met, the best point is rescaled onto the sphere of the domain if that
+    scores no worse; a search that meets its target keeps its best point as
+    it is.  The best point is then rescored.  sign is 1 for a sup and -1 for
+    an inf, target a certified bound on the other side.  Returns (witness, value, converged, details),
     the value in the objective's own units.
     """
     def f(V):
@@ -347,7 +348,7 @@ def sequential_run(objective, domain, budget, seeds=(), sign=1.0, target=None):
         if val > best_f:
             best_f, best_x, winner = val, x, r
 
-    if domain.to_boundary is not None:
+    if domain.to_boundary is not None and not met():
         xb = domain.to_boundary(best_x)
         if np.all(np.isfinite(xb)) and domain.membership(xb):
             vb = float(f(xb[None])[0])

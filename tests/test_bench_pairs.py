@@ -163,3 +163,25 @@ def test_each_side_runs_from_the_shared_path(tmp_path, monkeypatch):
     assert seen == [(shared, ["parent", "tree"]), (shared, ["change", "tree"])]
     # each tree is back in its own place, after a failed run too
     assert sorted(os.listdir(tmp_path)) == ["change", "parent"]
+
+
+def test_digest_diff_counts_the_ops_and_names_the_counters():
+    parent = {"values": ["a1", "b2", "c3"], "counts": {"evals": 120, "ticks": 9, "gone": 1}}
+    change = {"values": ["a1", "bX", "cX", "d4"], "counts": {"evals": 118, "ticks": 9,
+                                                           "new": 2}}
+    # two fingerprints differ, and the change made one op more
+    assert bench_pairs.digest_diff(parent, change) == {
+        "ops_differing": 3, "ops": 4,
+        "counters": {"evals": [120, 118], "gone": [1, None], "new": [None, 2]}}
+    assert bench_pairs.digest_diff(parent, parent) == {"ops_differing": 0, "ops": 3,
+                                                       "counters": {}}
+    assert bench_pairs.digest_diff(None, change) is None
+    assert bench_pairs.digest_diff(parent, None) is None
+
+
+def test_summary_records_the_digest_diff_per_workload():
+    runs = [_run("w", 0, "parent", 10.0, 0.1), _run("w", 0, "change", 11.0, 0.1)]
+    diff = {"seed": 7, "ops_differing": 1, "ops": 3, "counters": {"evals": [5, 4]}}
+    out = bench_pairs.summarize(runs, METRICS, {"w": [False]}, {"w": [diff]})
+    assert out["w"]["digest_diff"] == [diff]
+    assert "digest_diff" not in bench_pairs.summarize(runs, METRICS, {"w": [False]})["w"]

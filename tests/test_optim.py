@@ -128,17 +128,99 @@ def test_target_above_the_sup_changes_nothing():
 
 def test_target_met_by_a_seed_runs_no_restart():
     # the l2 norm is 1 at every unit seed: the seeds meet the target up front,
-    # and the polish onto the sphere of l2_ball scores once more
+    # and the search keeps the first of them, with no polish onto the sphere
     seeds = [np.array([1.0, 0.0]), np.array([0.0, -1.0])]
     res = optim.maximize_over_ball(lambda F: np.linalg.norm(F, axis=-1), l2_ball(2),
                                    budget=OptBudget(restarts=8, iterations=300),
                                    seeds=seeds, target=1.0)
     assert res.details["restarts_run"] == 0
     assert res.details["stop"] == "certificate"
-    assert res.details["evals"] == len(seeds) + 1
+    assert res.details["evals"] == len(seeds)
     assert res.bound_direction == "exact"
     assert res.converged is True
     assert res.value == res.certified_bound == 1.0
+    assert np.array_equal(res.witness, seeds[0])
+    assert np.signbit(res.witness).tolist() == np.signbit(seeds[0]).tolist()
+
+
+def test_target_missed_still_polishes_onto_the_sphere():
+    # min(|x|_2, 0.5) is flat from the seed on, so no poll moves it and only
+    # the polish carries it onto the sphere, where it scores as well.  The
+    # target 1 is missed, so the polish runs, and evals counts the seed, the
+    # restart's start and its one sweep of four polls, and the polish.
+    seed = np.array([0.5, 0.0])
+    budget = OptBudget(restarts=1, iterations=1)
+    res = optim.maximize_over_ball(lambda F: np.minimum(np.linalg.norm(F, axis=-1), 0.5),
+                                   l2_ball(2), budget=budget, seeds=[seed], target=1.0)
+    assert "stop" not in res.details
+    assert res.bound_direction == "lower-of-sup"
+    assert res.details["evals"] == 1 + (1 + 4) + 1
+    assert np.array_equal(res.witness, np.array([1.0, 0.0]))
+    assert res.value == 0.5 and res.certified_bound == 1.0
+
+
+def _counted_l2_ball(dim, label, calls):
+    # the unit ball of the l2 norm as gauge_ball builds it, logging each
+    # gauge call under label
+    def gauge(V):
+        calls.append(label)
+        return np.linalg.norm(V, axis=-1)
+
+    return optim.gauge_ball(gauge, dim, label)
+
+
+def _norm_sum(dims):
+    # the sum of the l2 norms of consecutive blocks of the given sizes
+    def objective(V):
+        cuts = np.cumsum(dims)[:-1]
+        return sum(np.linalg.norm(B, axis=-1) for B in np.split(V, cuts, axis=-1))
+
+    return objective
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_seeds_that_meet_the_target_cost_one_gauge_call_per_ball(k):
+    # k unit seeds meet the target: one gauge call admits them, testing and
+    # projecting at once, and no polish runs after the stop
+    calls = []
+    budget = OptBudget(restarts=8, iterations=300)
+    ball = _counted_l2_ball(3, "l2", calls)
+    res = optim.maximize_over_ball(_norm_sum([3]), ball, budget=budget,
+                                   seeds=list(np.eye(3)[:k]), target=1.0)
+    assert res.details["stop"] == "certificate" and res.details["evals"] == k
+    assert calls == ["l2"]
+    # over a product of two gauge balls, each part's gauge runs once
+    calls.clear()
+    joint = optim.concat_domain([_counted_l2_ball(3, "a", calls),
+                                 _counted_l2_ball(2, "b", calls)])
+    seeds = [np.concatenate([e, [0.0, -1.0]]) for e in np.eye(3)[:k]]
+    res = optim.maximize_over_ball(_norm_sum([3, 2]), joint, budget=budget, seeds=seeds,
+                                   target=2.0)
+    assert res.details["stop"] == "certificate" and res.details["evals"] == k
+    assert sorted(calls) == ["a", "b"]
+
+
+def _admitted_stacks():
+    rng = np.random.default_rng(31)
+    parts = [vn._operator_ball(vn.lp_oracle(2, 2), spaces.lp(3), 2),
+             spaces.space_ball(spaces.garling_mu(GEOM, 2.0), 3), l2_ball(2),
+             optim.free_domain(2)]
+    for dom in [*parts, optim.concat_domain(parts)]:
+        X = rng.standard_normal((6, dom.dim)) * 10.0 ** rng.uniform(-1.5, 1.5, (6, 1))
+        if dom.label == "free":
+            X[1, 0] = math.nan
+        yield dom, X
+
+
+def test_admit_is_membership_and_project_bit_for_bit():
+    # from one gauge call, a default, or a call per part, admit gives what
+    # membership and project give, row by row and for a bare point
+    for dom, X in _admitted_stacks():
+        ok, P = dom.admit(X)
+        assert ok.tolist() == dom.membership(X).tolist()
+        assert np.array_equal(P, dom.project(X), equal_nan=True)
+        ok1, p1 = dom.admit(X[0])
+        assert bool(ok1) == bool(ok[0]) and np.array_equal(p1, P[0])
 
 
 def _l1_offset(X, c=np.array([0.7, -1.2, 0.4])):

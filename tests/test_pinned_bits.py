@@ -90,7 +90,7 @@ PINNED = {
         "": ("0x1.1b3a6a6d34331p+2", 317, "f56f96430db012a3"),
     },
     "dual_norm lorentz": {
-        "": ("0x1.036bd24e5716ap+0", 4, "db92b4005200156c"),
+        "": ("0x1.036bd24e5716ap+0", 3, "db92b4005200156c"),
     },
     "dual_norm orlicz": {
         "": ("0x1.a2b38d261b671p+1", 1853, "5427c6ddfb22d297"),

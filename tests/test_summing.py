@@ -311,9 +311,9 @@ def test_w_mid_prepares_its_seeds_in_a_fixed_number_of_gauge_calls(monkeypatch, 
                                                                    n_seeds):
     # a rank-one T on l2:3 -> l2:3: the first sequence seed meets the bound,
     # so no restart runs and every gauge call prepares the seeds.  Each of
-    # the six is one stacked call, whatever the number of seeds: projecting
-    # the sequence seeds and the operator seeds, and testing and projecting
-    # both parts of the joint seeds.
+    # the four is one stacked call, whatever the number of seeds: projecting
+    # the sequence seeds and the operator seeds, and admitting (testing and
+    # projecting at once) each part of the joint seeds.
     calls = []
     upper = vn.operator_norm_upper
 
@@ -334,7 +334,42 @@ def test_w_mid_prepares_its_seeds_in_a_fixed_number_of_gauge_calls(monkeypatch, 
     T = summing.rank_one_operator(l2, l2, rng.standard_normal(3), rng.standard_normal(3))
     res = summing.w_lambda_mid(LP2, T, n=n, m=m, budget=LIGHT)
     assert res.bound_direction == "exact" and res.details["restarts_run"] == 0
-    assert len(calls) == 6
+    assert len(calls) == 4
+
+
+def test_w_mid_takes_one_full_svd_of_the_entries(monkeypatch):
+    # the top left singular vector seeds the rank-one S and the top right one
+    # the sequences, from one SVD; then _summing_upper takes its thin SVD
+    svd, seen = np.linalg.svd, []
+    T = op(np.random.default_rng(63).standard_normal((3, 2)), "l2:2", "l3:3")
+
+    def counted(a, *args, **kwargs):
+        if a is T.entries:
+            seen.append((args, kwargs))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    summing.w_lambda_mid(spaces.lp(3), T, n=3, m=2, budget=OptBudget(restarts=1,
+                                                                      iterations=5))
+    assert seen == [((), {}), ((), {"full_matrices": False})]
+
+
+def test_pi_meeting_its_bound_at_the_seeds_makes_two_gauge_calls(monkeypatch):
+    # l2:3 -> l2:2 with lp(2) and n >= d: the canonical basis meets the
+    # Hilbert-Schmidt bound, so the operator-ball gauge runs once to project
+    # the sequence seeds and once to admit them, and never after the stop
+    calls = []
+    upper = vn.operator_norm_upper
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return upper(*args, **kwargs)
+
+    monkeypatch.setattr(vn, "operator_norm_upper", counted)
+    T = op(np.random.default_rng(64).standard_normal((2, 3)), "l2:3", "l2:2")
+    res = summing.pi_lambda(LP2, T, n=3, budget=LIGHT)
+    assert res.details["stop"] == "certificate" and res.details["restarts_run"] == 0
+    assert len(calls) == 2
 
 
 def test_w_mid_identity_scalar():

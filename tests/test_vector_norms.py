@@ -342,6 +342,16 @@ def test_chain_scale_family():
     assert rep.ok(), rep.violations
 
 
+@pytest.mark.parametrize("dom, p, shape", [("l2:3", 2, (4, 3)), ("l2:3", 3, (3, 3)),
+                                            ("l1:2", 2, (3, 2)), ("linf:2", 1, (4, 2))])
+def test_chain_strong_is_the_strong_norm_bit_for_bit(dom, p, shape):
+    # the report reads the strong norm from the mid search's certified bound,
+    # met at the seeds or not
+    xs = seq(dom, np.random.default_rng(36).standard_normal(shape))
+    rep = vn.chain_check(spaces.lp(p), xs, m=3, budget=OptBudget(restarts=2, iterations=30))
+    assert rep.strong.hex() == vn.strong_norm(spaces.lp(p), xs).hex()
+
+
 def _inflated(monkeypatch, name, factor):
     inner = getattr(vn, name)
 

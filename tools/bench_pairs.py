@@ -12,9 +12,11 @@ the change won, whether the change's median is within the metric's bound of
 the parent's, and a verdict: gain, within_bound, unresolved or regressed (see
 verdict).  Per workload it also records values_identical: whether the two
 sides' digests (perfbench's digest-<W>-<S>-*.json, the fingerprints of every
-op's result and the deterministic counts) are equal in every pair.  The
-metrics, the direction in which each is better and its relative bound are
-read from the change's BENCHMARK.json.
+op's result and the deterministic counts) are equal in every pair, and
+digest_diff: for each pair, how many op fingerprints differ and which
+counters differ, with both sides' counts (see digest_diff).  The metrics,
+the direction in which each is better and its relative bound are read from
+the change's BENCHMARK.json.
 
     python3 tools/bench_pairs.py --parent HEAD~1 --change HEAD --label LABEL \\
         --what "one line on the change" --seed-base 2500
@@ -90,6 +92,26 @@ def same_digests(a: dict | None, b: dict | None) -> bool:
             and a["values"] == b["values"] and a["counts"] == b["counts"])
 
 
+def digest_diff(a: dict | None, b: dict | None) -> dict | None:
+    """Where the change's digest b differs from the parent's digest a, or
+    None when either is missing.
+
+    ops_differing counts the ops whose fingerprints differ, op by op in the
+    order the run made them, an op that only one side made included; ops is
+    the change's number of ops.  counters maps each counter whose value
+    differs, or that only one side has, to [parent, change], None standing
+    for a missing one.
+    """
+    if a is None or b is None:
+        return None
+    va, vb = a["values"], b["values"]
+    ops = sum(x != y for x, y in zip(va, vb)) + abs(len(va) - len(vb))
+    ca, cb = a["counts"], b["counts"]
+    counters = {k: [ca.get(k), cb.get(k)] for k in sorted(set(ca) | set(cb))
+                if ca.get(k) != cb.get(k)}
+    return {"ops_differing": ops, "ops": len(vb), "counters": counters}
+
+
 def order(pair: int) -> tuple[str, str]:
     return SIDES if pair % 2 == 0 else SIDES[::-1]
 
@@ -121,7 +143,8 @@ def verdict(parent: list[float], change: list[float], wins: int, sign: float,
 
 
 def summarize(runs: list[dict], metrics: list[tuple[str, str, float]],
-              identical: dict[str, list[bool]] | None = None) -> dict:
+              identical: dict[str, list[bool]] | None = None,
+              diffs: dict[str, list[dict | None]] | None = None) -> dict:
     """Per workload: each metric's median and quartiles on each side, the
     pairs the change won (strictly better, by the metric's direction),
     within_bound (the change's median is worse than the parent's by at most
@@ -132,7 +155,8 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str, float]],
     (name, "higher" or "lower", bound).  A run without metrics counts as not
     correct and is left out of the figures, with its pair.  identical holds,
     per workload, whether each pair's digests were equal; values_identical
-    is true when every pair's were.
+    is true when every pair's were.  diffs holds, per workload, each pair's
+    digest_diff, recorded as digest_diff.
     """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
@@ -161,6 +185,8 @@ def summarize(runs: list[dict], metrics: list[tuple[str, str, float]],
         if identical is not None:
             flags = identical.get(workload, [])
             summary["values_identical"] = bool(flags) and all(flags)
+        if diffs is not None:
+            summary["digest_diff"] = diffs.get(workload, [])
         out[workload] = summary
     return out
 
@@ -193,7 +219,7 @@ def main(argv=None) -> int:
             extract(rev, roots[side])
         with open(os.path.join(roots["change"], "BENCHMARK.json")) as fh:
             metrics = [(m["name"], m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]]
-        runs, seeds, identical = [], {}, {}
+        runs, seeds, identical, diffs = [], {}, {}, {}
         for k, workload in enumerate(workloads):
             first = args.seed_base + 100 * k + 1
             seeds[workload] = f"{first}-{first + PAIRS - 1}"
@@ -207,10 +233,12 @@ def main(argv=None) -> int:
                           file=sys.stderr, flush=True)
                 digests = [digest(roots[side], workload, first + i) for side in SIDES]
                 identical.setdefault(workload, []).append(same_digests(*digests))
+                diffs.setdefault(workload, []).append(
+                    {"seed": first + i, **(digest_diff(*digests) or {"missing": True})})
 
     report = {"what": args.what, "command": COMMAND,
               "host": host(runs), "protocol": PROTOCOL, "seeds": seeds,
-              "summary": summarize(runs, metrics, identical), "runs": runs}
+              "summary": summarize(runs, metrics, identical, diffs), "runs": runs}
     with open(f"BENCH_{args.label}.json", "w") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
