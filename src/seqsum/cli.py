@@ -287,11 +287,17 @@ _RUNNERS = {"norm": _run_norm, "dual-norm": _run_dual_norm, "vecnorm": _run_vecn
 
 
 def _cmd_compute(args) -> int:
-    """Print the values (and the chain verdict); exit 1 only on a failed chain."""
+    """Print the values (and the chain verdict); exit 1 only on a failed chain,
+    and 2 on input the runner finds out of range, such as norms that overflow."""
     spec = _load_space(args)
     budget = _budget_from(args)
     t0 = time.perf_counter()
-    results, ok = _RUNNERS[args.command](args, spec, budget)
+    try:
+        results, ok = _RUNNERS[args.command](args, spec, budget)
+    except SpecValidationError:
+        raise
+    except ValueError as exc:
+        raise CliError(f"input out of range: {exc}", EXIT_BAD_INPUT) from exc
     ms = (time.perf_counter() - t0) * 1e3
     print(" ".join(f"{res.value:.12g}" for _, res in results)
           + ("" if ok is None else f" ok={ok}"))

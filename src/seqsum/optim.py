@@ -28,13 +28,13 @@ target check, the evaluation count, the winner and the errors raised are
 those of that rule.
 
 Stack contract: an objective maps a (k, dim) stack of points to a (k,) array
-of values, and Ball.project and Ball.membership act on the last axis of an
-array with any leading batch axes.  Row i of any of these results must not
-depend on the other rows, so a point scores, projects and tests the same
-alone or inside a stack; the seeds are tested and projected as one stack,
-by one Ball.admit call.  Every unit ball of a gauge (a scalar norm, an
-oracle norm, an operator or handle bound) is built by gauge_ball from a
-stacked gauge (..., dim) -> (...), and admits a stack in one gauge call.
+of values, and Ball.admit and its halves, membership and project, act on
+the last axis of an array with any leading batch axes.  Row i of any of these
+results must not depend on the other rows, so a point scores, projects and
+tests the same alone or inside a stack; the seeds are admitted as one stack.
+A Ball is a product of free blocks and unit balls of stacked gauges
+(..., dim) -> (...): a scalar norm, an oracle norm, an operator or handle
+bound.  It admits a stack with one gauge call per block.
 """
 
 from __future__ import annotations
@@ -122,113 +122,82 @@ def meets(value, target):
 
 @dataclass(frozen=True)
 class Ball:
-    """Search domain with a feasibility projection.
+    """Search domain: a product of blocks (dim, gauge, scale), searched as
+    one flat vector.  A block is the unit ball {x : gauge(x) <= 1} of a
+    stacked gauge (..., dim) -> (...), or free when its gauge is None.
 
-    project must be idempotent and land inside the feasible set.  membership
-    is the ground-truth feasibility test, a bool for each point.  Both act on
-    the last axis, row by row, of a point or a stack of points.  admit(V)
-    returns (membership(V), project(V)), which is its default; a domain that
-    can compute both from one pass sets it.  The search admits its seeds
-    with it.  random_point returns a point that is projected already, since
-    the search starts from it as it is.  to_boundary, when set, rescales a
-    nonzero point onto the unit sphere of the domain; a search that does not
-    meet its target polishes its best point with it, and keeps the rescaled
-    point only if it scores at least as well.
+    admit(V) -> (ok, P) is the only feasibility code, with one gauge call per
+    block: a gauge block gives (gauge <= 1 + 1e-9, V / max(gauge, 1)), a free
+    block (isfinite, V).  membership and project are its halves; project
+    skips the test.  Each acts row by row on the last axis of a point or a
+    stack.  random_point projects scale * standard_normal(dim) per block.
+    to_boundary, set on one gauge block, divides a point by its gauge; a
+    search that misses its target polishes its best point with it, keeping
+    the result if it scores at least as well.
     """
 
-    dim: int
-    project: Callable[[np.ndarray], np.ndarray]
-    membership: Callable[[np.ndarray], np.ndarray]
-    random_point: Callable[[np.random.Generator], np.ndarray]
-    to_boundary: Callable[[np.ndarray], np.ndarray] | None = None
-    label: str = "domain"
-    admit: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+    blocks: tuple[tuple[int, Callable[[np.ndarray], np.ndarray] | None, float], ...]
+    label: str
 
-    def __post_init__(self):
-        if self.admit is None:
-            object.__setattr__(self, "admit",
-                               lambda V: (self.membership(V), self.project(V)))
+    @property
+    def dim(self) -> int:
+        return sum(dim for dim, _, _ in self.blocks)
+
+    def _parts(self, V):
+        """(gs, P): _projected of each block's slice of V, with P joined again."""
+        if len(self.blocks) == 1:
+            g, P = _projected(self.blocks[0][1], V)
+            return [g], P
+        ends = np.cumsum([dim for dim, _, _ in self.blocks])
+        gs, Ps = zip(*(_projected(gauge, V[..., end - dim:end])
+                       for (dim, gauge, _), end in zip(self.blocks, ends)))
+        return gs, np.concatenate(Ps, axis=-1)
+
+    def admit(self, V):
+        gs, P = self._parts(V)
+        ok = [np.all(np.isfinite(g), axis=-1) if gauge is None else g <= 1.0 + 1e-9
+              for (_, gauge, _), g in zip(self.blocks, gs)]
+        return np.logical_and.reduce(ok), P
+
+    def project(self, V):
+        return self._parts(V)[1]
+
+    def membership(self, V):
+        return self.admit(V)[0]
+
+    def random_point(self, rng):
+        return np.concatenate([_projected(gauge, scale * rng.standard_normal(dim))[1]
+                               for dim, gauge, scale in self.blocks])
+
+    @property
+    def to_boundary(self):
+        (_, gauge, _), *rest = self.blocks
+        if gauge is None or rest:
+            return None
+        return lambda v: v if (g := float(gauge(v))) == 0.0 else v / g
+
+
+def _projected(gauge, V):
+    """(g, P) for one block: what admit tests (the gauge, or V if free), and V projected."""
+    if gauge is None:
+        return V, V
+    g = gauge(V)
+    return g, V / np.maximum(g, 1.0)[..., None]
 
 
 def gauge_ball(gauge: Callable[[np.ndarray], np.ndarray], dim: int, label: str) -> Ball:
-    """The unit ball {x : gauge(x) <= 1} of a stacked gauge (..., dim) -> (...).
-
-    project divides each point by max(gauge, 1), to_boundary divides a
-    nonzero point by its gauge, membership allows 1e-9 of float drift, and
-    random_point projects a standard normal.  admit gives membership and
-    project from one gauge call.  Each takes a point or a stack, as the
-    gauge does.
-    """
-
-    def scaled(V, g):
-        return V / np.maximum(g, 1.0)[..., None]
-
-    def project(V):
-        return scaled(V, gauge(V))
-
-    def admit(V):
-        g = gauge(V)
-        return g <= 1.0 + 1e-9, scaled(V, g)
-
-    def to_boundary(v):
-        g = float(gauge(v))
-        return v if g == 0.0 else v / g
-
-    return Ball(
-        dim=dim,
-        project=project,
-        membership=lambda V: gauge(V) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(dim)),
-        to_boundary=to_boundary,
-        label=label,
-        admit=admit,
-    )
+    """The unit ball {x : gauge(x) <= 1} of a stacked gauge (..., dim) -> (...)."""
+    return Ball(((dim, gauge, 1.0),), label)
 
 
 def free_domain(dim: int, scale: float = 1.0, label: str = "free") -> Ball:
-    """Unconstrained parameter block of the given dimension."""
-    return Ball(
-        dim=dim,
-        project=lambda v: v,
-        membership=lambda V: np.all(np.isfinite(V), axis=-1),
-        random_point=lambda rng: scale * rng.standard_normal(dim),
-        label=label,
-    )
+    """Unconstrained block of the given dimension, drawn as scale * N(0, 1)."""
+    return Ball(((dim, None, scale),), label)
 
 
 def concat_domain(parts: list[Ball], label: str | None = None) -> Ball:
-    """Cartesian product of domains, searched as one flat vector; admit
-    calls each part's admit once."""
-    dims = [b.dim for b in parts]
-    offsets = np.concatenate([[0], np.cumsum(dims)]).astype(int)
-    total = int(offsets[-1])
-
-    def split(v):
-        return [v[..., offsets[i]: offsets[i + 1]] for i in range(len(parts))]
-
-    def project(v):
-        return np.concatenate([b.project(piece) for b, piece in zip(parts, split(v))],
-                              axis=-1)
-
-    def membership(v):
-        return np.logical_and.reduce([b.membership(piece)
-                                      for b, piece in zip(parts, split(v))])
-
-    def admit(v):
-        oks, pieces = zip(*(b.admit(piece) for b, piece in zip(parts, split(v))))
-        return np.logical_and.reduce(oks), np.concatenate(pieces, axis=-1)
-
-    def random_point(rng):
-        return np.concatenate([b.random_point(rng) for b in parts])
-
-    return Ball(
-        dim=total,
-        project=project,
-        membership=membership,
-        random_point=random_point,
-        label=label or "x".join(b.label for b in parts),
-        admit=admit,
-    )
+    """Cartesian product of domains, searched as one flat vector."""
+    return Ball(sum((b.blocks for b in parts), ()), label or "x".join(b.label for b in parts))
 
 
 def _checked(vals) -> np.ndarray:
@@ -467,7 +436,7 @@ def _run(objective, domain: Ball, budget: OptBudget | None, seeds, sign: float,
                 best_f, best_x = vb, xb
 
     if best_x is None:
-        raise RuntimeError("search produced no candidate point")
+        raise ValueError("search produced no candidate point")
     # recompute at the reported witness so value and witness always agree
     best_f = float(_checked(f(best_x[None]))[0])
     details = {"evals": total_evals, "restarts": budget.restarts, "domain": domain.label}

@@ -111,14 +111,15 @@ def operator_norm_upper_matrix(T: OperatorMatrix) -> float:
 # Test sequences
 
 
-def _top_singular_pair(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The top left and right singular vectors of M, from one SVD, or the
-    first basis vectors when the SVD does not converge."""
+def _svd(M: np.ndarray):
+    """The thin SVD (U, s, Vt) of M.  When it does not converge, the first
+    basis vectors stand in for the singular ones, with infinite singular
+    values, so that _summing_upper's SVD bound bounds nothing."""
     try:
-        U, _, Vt = np.linalg.svd(M)
-        return U[:, 0], Vt[0]
+        return np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError:
-        return np.eye(M.shape[0])[0], np.eye(M.shape[1])[0]
+        k = min(M.shape)
+        return np.eye(M.shape[0], k), np.full(k, math.inf), np.eye(k, M.shape[1])
 
 
 def _sequence_seeds(T: OperatorMatrix, n: int, ball: Ball, top: np.ndarray) -> np.ndarray:
@@ -148,9 +149,10 @@ def _image_strong(spec: SpaceSpec, T: OperatorMatrix, flat: np.ndarray, n: int):
     return evaluate_norms(spec, _image_lengths(T, flat, n))
 
 
-def _summing_upper(spec: SpaceSpec, T: OperatorMatrix) -> float:
+def _summing_upper(spec: SpaceSpec, T: OperatorMatrix, svd) -> float:
     """Certified upper bound of pi_lambda(T), for every length n, and so of
-    w_lambda_mid(T), since the mid handle is below the strong norm.
+    w_lambda_mid(T), since the mid handle is below the strong norm; svd is
+    _svd(T.entries).
 
     With weak(x) the weak norm of (x_i) and t_k the rows of T, it is the
     smaller of two bounds of strong((T x_i)_i) / weak(x) (Diestel, Jarchow
@@ -169,12 +171,8 @@ def _summing_upper(spec: SpaceSpec, T: OperatorMatrix) -> float:
     bounds = [math.fsum(rows)]
     if spec.family == "lp":
         bounds.append(float(spaces._pnorm(rows, min(spec.p, T.codomain.p))))
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-        cols = vn.row_lengths(T.codomain, U.T)
-        bounds.append(math.fsum(s * cols * vn.row_lengths(dual, Vt)))
-    except np.linalg.LinAlgError:
-        pass
+    U, s, Vt = svd
+    bounds.append(math.fsum(s * vn.row_lengths(T.codomain, U.T) * vn.row_lengths(dual, Vt)))
     return min(bounds)
 
 
@@ -198,9 +196,10 @@ def pi_lambda(spec: SpaceSpec, T: OperatorMatrix, n: int,
         # finite: the points lie in the operator ball
         return spaces._norms(spec, _image_lengths(T, flat, n))
 
-    seeds = _sequence_seeds(T, n, ball, _top_singular_pair(T.entries)[1])
+    svd = _svd(T.entries)
+    seeds = _sequence_seeds(T, n, ball, svd[2][0])
     return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    target=_summing_upper(spec, T))
+                                    target=_summing_upper(spec, T, svd))
 
 
 def pi_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
@@ -260,22 +259,23 @@ def w_lambda_mid(spec: SpaceSpec, T: OperatorMatrix, n: int, m: int = 4,
         return spaces._norms(spec, spaces._norms(spec, np.abs(imgs)))
 
     # rank-one S sending the top image direction to the first coordinate;
-    # the SVD that finds it gives the sequence seeds their top direction too
-    out_dir, top = _top_singular_pair(T.entries)
+    # the SVD that finds it gives the sequence seeds their top direction and
+    # the target its SVD bound
+    U, _, Vt = svd = _svd(T.entries)
     c = spaces.unit_vector_norm(spec, 1)
     S0 = np.zeros((m, e))
-    g = out_dir if T.codomain.p == 2.0 else np.sign(out_dir)
+    g = U[:, 0] if T.codomain.p == 2.0 else np.sign(U[:, 0])
     gnorm = T.codomain.flip().norm(g)
     if gnorm > 0:
         S0[0] = g / (gnorm * c)
     ops = [S0]
     if m >= e:
         ops.append(np.eye(m, e))
-    xs_seeds = _sequence_seeds(T, n, xs_ball, top)
+    xs_seeds = _sequence_seeds(T, n, xs_ball, Vt[0])
     op_seeds = op_ball.project(np.stack([S.ravel() for S in ops]))
     seeds = [np.concatenate([S, xs_seed]) for S in op_seeds for xs_seed in xs_seeds]
     res = optim.maximize_over_ball(objective, domain, budget=budget, seeds=seeds,
-                                   target=_summing_upper(spec, T))
+                                   target=_summing_upper(spec, T, svd))
     res.details["truncation"] = m
     return res
 

@@ -76,6 +76,10 @@ def test_norm_command_malformed_seq_exit_2(capsys):
 
 
 _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
+_HUGE_ROWS = "[[1.7e308, 1.7e308], [1, 1]]"
+_HUGE_VECTORS = '{"oracle": "l2:2", "vectors": [[1.7e308, 1.7e308]]}'
+_HUGE_OPERATOR = f'{{"domain": "l2:2", "codomain": "l2:2", "rows": {_HUGE_ROWS}}}'
+_HUGE_TENSOR = f'{{"domain": "l2:2", "codomain": "l2:2", "entries": {_HUGE_ROWS}}}'
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -111,12 +115,21 @@ _VECTORS = '{"oracle": "l2:2", "vectors": [[1, 0], [0, 1]]}'
     *[(["norm", "--space", space, "--seq", "[1, 2]"], 3) for space in (
         "lp:2:junk", "c0:foo", "orlicz:power:2:junk", "sargent_m:sqrt:p=2",
         "garling_mu:geometric:0.5:7:p=2")],
+    # finite entries whose norms overflow
+    *[(["vecnorm", "--kind", kind, "--space", "lp:1", "--vectors", _HUGE_VECTORS], 2)
+      for kind in ("strong", "weak", "mid", "chain")],
+    *[(["summing", "--kind", kind, "--space", "lp:2", "--operator", _HUGE_OPERATOR], 2)
+      for kind in ("w-mid", "pi-mid")],
+    *[(["tensor", "--kind", kind, "--space", "lp:2", "--tensor", _HUGE_TENSOR], 2)
+      for kind in ("gamma", "gamma-c", "injective")],
 ], ids=["m-0", "n-0", "restarts-0", "trials-0", "lp-nan", "seed-negative",
         "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
         "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null",
         "seq-2d", "seq-number", "seq-bool", "dual-seq-2d",
         "dsl-lp-extra", "dsl-c0-extra", "dsl-orlicz-extra", "dsl-sargent-p",
-        "dsl-mu-extra-part"])
+        "dsl-mu-extra-part",
+        "huge-strong", "huge-weak", "huge-mid", "huge-chain", "huge-w-mid", "huge-pi-mid",
+        "huge-gamma", "huge-gamma-c", "huge-injective"])
 def test_malformed_input_exits_2_or_3(argv, want, tmp_path, capsys):
     if "--space-file" in argv:
         i = argv.index("--space-file") + 1
@@ -127,6 +140,13 @@ def test_malformed_input_exits_2_or_3(argv, want, tmp_path, capsys):
     assert code == want
     assert out == ""
     assert "Traceback" not in err
+
+
+def test_overflowing_input_is_out_of_range(capsys):
+    code, _, err = run_cli(["summing", "--kind", "w-mid", "--space", "lp:2",
+                            "--operator", _HUGE_OPERATOR], capsys)
+    assert code == 2
+    assert err.startswith("error: input out of range: ")
 
 
 def test_unwritable_report_exit_4(capsys):

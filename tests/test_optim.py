@@ -9,23 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import oracles as oc
 from seqsum import optim, spaces, summing, tensor, vector_norms as vn
-from seqsum.optim import Ball, InfeasibleSeedError, OptBudget
+from seqsum.optim import InfeasibleSeedError, OptBudget
 from seqsum.spaces import OrliczFunction, WeightSeq
 
 
 def l2_ball(dim):
-    def project(v):
-        n = np.linalg.norm(v, axis=-1, keepdims=True)
-        return v / np.maximum(n, 1.0)
-
-    return Ball(
-        dim=dim,
-        project=project,
-        membership=lambda v: np.linalg.norm(v, axis=-1) <= 1.0 + 1e-9,
-        random_point=lambda rng: project(rng.standard_normal(dim)),
-        to_boundary=lambda v: v / max(float(np.linalg.norm(v)), 1e-300),
-        label="l2-ball",
-    )
+    return optim.gauge_ball(lambda v: np.linalg.norm(v, axis=-1), dim, "l2-ball")
 
 
 def test_linear_functional_over_l2_ball():
@@ -362,6 +351,31 @@ def test_concat_domain_slices():
     w = dom.project(np.array([3.0, 4.0, 2.0, -2.0, 2.0]))
     assert float(np.linalg.norm(w[:2])) <= 1.0 + 1e-9
     assert float(np.sum(np.abs(w[2:]))) <= 1.0 + 1e-9
+
+
+def test_product_draws_each_part_in_turn():
+    # a random start on a product is the concatenation of each part's draw,
+    # taken in order from the same generator state
+    parts = [optim.free_domain(3, scale=0.4), spaces.space_ball(spaces.lp(1.5), 2)]
+    joint = optim.concat_domain(parts)
+    got = joint.random_point(np.random.default_rng(41))
+    rng = np.random.default_rng(41)
+    want = np.concatenate([part.random_point(rng) for part in parts])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_only_a_single_gauge_block_polishes_onto_the_sphere():
+    ball = l2_ball(2)
+    assert ball.to_boundary is not None
+    assert np.array_equal(ball.to_boundary(np.array([3.0, 4.0])), [0.6, 0.8])
+    assert optim.free_domain(2).to_boundary is None
+    assert optim.concat_domain([ball, l2_ball(3)]).to_boundary is None
+
+
+def test_free_project_passes_its_input_through():
+    X = np.array([[1e300, -0.0, 2.5], [math.nan, 1.0, math.inf]])
+    P = optim.free_domain(3).project(X)
+    assert P.tobytes() == X.tobytes()
 
 
 def test_free_and_concat_membership_is_stacked():

@@ -338,8 +338,9 @@ def test_w_mid_prepares_its_seeds_in_a_fixed_number_of_gauge_calls(monkeypatch, 
 
 
 def test_w_mid_takes_one_full_svd_of_the_entries(monkeypatch):
-    # the top left singular vector seeds the rank-one S and the top right one
-    # the sequences, from one SVD; then _summing_upper takes its thin SVD
+    # one thin SVD of the entries: its top left singular vector seeds the
+    # rank-one S, its top right one the sequences, and _summing_upper takes
+    # its SVD bound from it
     svd, seen = np.linalg.svd, []
     T = op(np.random.default_rng(63).standard_normal((3, 2)), "l2:2", "l3:3")
 
@@ -351,7 +352,7 @@ def test_w_mid_takes_one_full_svd_of_the_entries(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counted)
     summing.w_lambda_mid(spaces.lp(3), T, n=3, m=2, budget=OptBudget(restarts=1,
                                                                       iterations=5))
-    assert seen == [((), {}), ((), {"full_matrices": False})]
+    assert seen == [((), {"full_matrices": False})]
 
 
 def test_pi_meeting_its_bound_at_the_seeds_makes_two_gauge_calls(monkeypatch):
@@ -431,7 +432,8 @@ def test_summing_bound_is_sound(lam, dom, cod, d, e, seed):
     T = op(np.random.default_rng(seed).standard_normal((e, d)), f"{dom}:{d}", f"{cod}:{e}")
     pi, wm = _two_sided(spec, T, OptBudget(restarts=2, iterations=40))
     for res in (pi, wm):
-        assert res.certified_bound == summing._summing_upper(spec, T)
+        assert res.certified_bound == summing._summing_upper(spec, T,
+                                                             summing._svd(T.entries))
         assert res.value <= res.certified_bound * (1.0 + 1e-12)
         assert (res.bound_direction == "exact") == (res.details.get("stop") == "certificate")
         assert res.bound_direction in ("exact", "lower-of-sup")
@@ -469,19 +471,23 @@ def test_summing_bound_closed_forms():
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     svd = float(np.sum(s * np.sum(np.abs(U) ** 3, axis=0) ** (1 / 3)
                        * np.abs(Vt).sum(axis=1)))
+    factors = summing._svd(M)
     # lp(p) into l3: the row bound is the l_min(p,3) norm of the row norms
     for p, r in ((1.0, 1.0), (2.0, 2.0), (4.0, 3.0)):
         want = min(rows.sum(), float(np.sum(rows**r) ** (1 / r)), svd)
-        assert summing._summing_upper(spaces.lp(p), T) == pytest.approx(want, rel=1e-14)
-    assert summing._summing_upper(spaces.lp(4.0), T) < min(rows.sum(), svd)
+        assert summing._summing_upper(spaces.lp(p), T, factors) == pytest.approx(want,
+                                                                                 rel=1e-14)
+    assert summing._summing_upper(spaces.lp(4.0), T, factors) < min(rows.sum(), svd)
     # a scale family has only the representation bounds, rows and SVD
     sm = _BOUND_SPECS["sargent_m"]
-    assert summing._summing_upper(sm, T) == pytest.approx(min(rows.sum(), svd), rel=1e-14)
+    assert summing._summing_upper(sm, T, factors) == pytest.approx(min(rows.sum(), svd),
+                                                                   rel=1e-14)
     # rank one: the SVD representation is |f|_X* |y|_Y, sharp for every lambda
     f, y = np.array([0.3, -1.2, 0.4]), np.array([2.0, -1.0])
     R = summing.rank_one_operator(vn.lp_oracle(3, 3), vn.lp_oracle(1.5, 2), f, y)
     want = vn.lp_oracle(1.5, 3).norm(f) * vn.lp_oracle(1.5, 2).norm(y)
-    assert summing._summing_upper(sm, R) == pytest.approx(want, rel=1e-13)
+    assert summing._summing_upper(sm, R, summing._svd(R.entries)) == pytest.approx(
+        want, rel=1e-13)
 
 
 def test_summing_open_gap_runs_the_untargeted_search(monkeypatch):
@@ -495,7 +501,7 @@ def test_summing_open_gap_runs_the_untargeted_search(monkeypatch):
     monkeypatch.setattr(optim, "_sweep", lambda *a: sweeps.append(1) or sweep(*a))
     targeted = _two_sided(LP2, T, LIGHT)
     assert len(sweeps) == 2 * LIGHT.restarts
-    monkeypatch.setattr(summing, "_summing_upper", lambda spec, T: None)
+    monkeypatch.setattr(summing, "_summing_upper", lambda spec, T, svd: None)
     free = _two_sided(LP2, T, LIGHT)
     for res, res0 in zip(targeted, free):
         assert res.value < res.certified_bound * (1.0 - 1e-3)
