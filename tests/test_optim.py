@@ -202,7 +202,7 @@ def _admitted_stacks():
 
 
 def test_admit_is_membership_and_project_bit_for_bit():
-    # from one gauge call, a default, or a call per part, admit gives what
+    # on a gauge ball, a free domain and a product, admit gives what
     # membership and project give, row by row and for a bare point
     for dom, X in _admitted_stacks():
         ok, P = dom.admit(X)
