@@ -288,15 +288,17 @@ _RUNNERS = {"norm": _run_norm, "dual-norm": _run_dual_norm, "vecnorm": _run_vecn
 
 def _cmd_compute(args) -> int:
     """Print the values (and the chain verdict); exit 1 only on a failed chain,
-    and 2 on input the runner finds out of range, such as norms that overflow."""
+    and 2 on input the runner finds out of range, such as norms that overflow,
+    with one error line and no NumPy warning."""
     spec = _load_space(args)
     budget = _budget_from(args)
     t0 = time.perf_counter()
     try:
-        results, ok = _RUNNERS[args.command](args, spec, budget)
+        with np.errstate(all="ignore"):
+            results, ok = _RUNNERS[args.command](args, spec, budget)
     except SpecValidationError:
         raise
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise CliError(f"input out of range: {exc}", EXIT_BAD_INPUT) from exc
     ms = (time.perf_counter() - t0) * 1e3
     print(" ".join(f"{res.value:.12g}" for _, res in results)

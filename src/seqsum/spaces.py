@@ -452,6 +452,25 @@ def _pow2_floor(mx):
     return np.ldexp(0.5, np.frexp(mx)[1])
 
 
+def _orlicz_groups(fns, n: int):
+    """(M_j, columns): the j-th of fns, the last one repeated, or fns itself."""
+    if isinstance(fns, OrliczFunction):
+        return [(fns, slice(None))]
+    m = min(len(fns), n)
+    return ([(f, slice(j, j + 1)) for j, f in enumerate(fns[:m - 1])]
+            + [(fns[m - 1], slice(m - 1, None))])
+
+
+def _modular_terms(groups, T):
+    """M_j(t) and t M_j'(t) for each entry t of the 2-d stack T."""
+    if len(groups) == 1:
+        return groups[0][0]._terms(T)
+    M, D = np.empty_like(T), np.empty_like(T)
+    for f, cols in groups:
+        M[:, cols], D[:, cols] = f._terms(T[:, cols])
+    return M, D
+
+
 def _luxemburg(A: np.ndarray, fns) -> np.ndarray:
     """Luxemburg gauge of each row of a finite, nonnegative 2-d array: the
     least k with sum_j M_j(a_j / k) <= 1, with M_j the j-th of fns (the last
@@ -476,27 +495,15 @@ def _luxemburg(A: np.ndarray, fns) -> np.ndarray:
     rows = np.flatnonzero(mx)
     scale = _pow2_floor(mx[rows])
     a = A[rows] / scale[:, None]
-    n = A.shape[-1]
-    if isinstance(fns, OrliczFunction):
-        groups = [(fns, slice(None))]
-    else:
-        m = min(len(fns), n)
-        groups = [(f, slice(j, j + 1)) for j, f in enumerate(fns[:m - 1])]
-        groups.append((fns[m - 1], slice(m - 1, None)))
-    units = np.empty(n)
+    groups = _orlicz_groups(fns, A.shape[-1])
+    units = np.empty(A.shape[-1])
     for f, cols in groups:
         units[cols] = f._gauge[0]
     r = min(f._gauge[1] for f, _ in groups)
     # the least s at which some a_j s reaches its unit, where F(s) >= 1
     s = 1.0 / (a / units).max(axis=-1)
     while rows.size:
-        T = a * s[:, None]
-        if len(groups) == 1:
-            M, D = groups[0][0]._terms(T)
-        else:
-            M, D = np.empty_like(T), np.empty_like(T)
-            for f, cols in groups:
-                M[:, cols], D[:, cols] = f._terms(T[:, cols])
+        M, D = _modular_terms(groups, a * s[:, None])
         F, H = M.sum(axis=-1), D.sum(axis=-1)
         G = F ** (1.0 / r)
         # the Newton step on G, whose derivative is G H / (r F s)
@@ -582,25 +589,6 @@ def _level_nu(yhat: np.ndarray, w: np.ndarray, q: float) -> float:
     scale, Ys, Ws, sizes = _level_blocks(yhat, w)
     g = np.repeat(np.divide(Ys, Ws), sizes)
     return float(scale * _pnorm(g, q, w))
-
-
-def _level_witness(spec: SpaceSpec, bhat: np.ndarray) -> np.ndarray:
-    """Unit vector of garling_mu(spec) whose pairing with the nonincreasing,
-    nonnegative, nonzero row bhat is nu(bhat), placed on bhat's positions.
-
-    With g the level function's block ratio over each block, g^(q - 1)
-    pairs to sum_B W_B g_B^q = nu^q and has mu^p of the same sum; at p = 1
-    the first block over its weight pairs to g_1 = nu and has mu = 1
-    (Halperin; Sinnamon 1994).
-    """
-    w = spec.weights.materialize(bhat.size)
-    _, Ys, Ws, sizes = _level_blocks(bhat, w)
-    if spec.p > 1.0:
-        alpha = np.repeat(np.divide(Ys, Ws), sizes) ** (conjugate_exponent(spec.p) - 1.0)
-    else:
-        alpha = np.zeros(bhat.size)
-        alpha[: sizes[0]] = 1.0 / Ws[0]
-    return alpha / evaluate_norm(spec, alpha)
 
 
 def _orlicz_power_exponent(M) -> float | None:
@@ -710,71 +698,74 @@ def space_ball(spec: SpaceSpec, length: int) -> optim.Ball:
                             f"ball[{spec.label()}]")
 
 
-def _pairing_seeds(spec: SpaceSpec, beta: np.ndarray) -> list[np.ndarray]:
-    """Candidate maximizers of alpha -> sum |alpha*beta| over the unit ball, beta != 0.
-
-    Includes an equality witness for every family with an analytic dual, so
-    once projected some seed attains that dual's norm of beta.
+def _norm_gradient(spec: SpaceSpec, A: np.ndarray) -> np.ndarray:
+    """The norming map: for each row a of the finite, nonnegative 2-d stack
+    A, a subgradient g >= 0 of the norm at a, zero where a is, with
+    Kothe-dual norm at most 1 and sum_j g_j a_j = |a|.  lp(p), c0 and the
+    Orlicz power: (a / |a|_p)^(p - 1), the first maximal entry at p = inf,
+    the support at p = 1.  mu, nu and Sargent put the dual profile on the
+    positions of a's decreasing rearrangement ahat: w_j (ahat_j / mu)^(p - 1);
+    (g / nu)^(q - 1), g the level function, or 1 / W_1 on its first block at
+    p = 1; 1 / phi_s on the first s entries, s the first maximizer of the
+    partial sums over phi; the largest increments of phi.  Other Orlicz
+    gauges k: M'(a/k) / sum_j (a_j/k) M'(a_j/k), in the ball of the Orlicz
+    norm of M* by Young's equality M*(M'(t)) = t M'(t) - M(t).
     """
-    n = beta.size
-    # seeds are directions only, so scaled moduli keep their powers finite
-    mod = np.abs(beta) / np.abs(beta).max()
-    seeds = []
-    top = int(np.argmax(mod))
-    e = np.zeros(n)
-    e[top] = 1.0
-    seeds.append(e)
-    seeds.append((mod > 0).astype(float))
-    order = np.argsort(-mod, kind="stable")
-    bhat = mod[order]
-    nnz = int(np.count_nonzero(bhat))
+    n = A.shape[-1]
     fam = spec.family
-    # Hoelder's witness mod^(q - 1) for lp and the Orlicz gauge of a power;
-    # e_top is sharp for p = 1, and the support for p = inf
-    p = spec.p if fam == "lp" else _orlicz_power_exponent(spec.orlicz) if fam == "orlicz" else None
-    if p is not None and 1.0 < p < math.inf:
-        seeds.append(mod ** (conjugate_exponent(p) - 1.0))
-    if fam == "sargent_m":
-        # increment profile placed at the positions of the largest moduli
-        dtop = _sargent_delta_top(spec.weights, nnz)
-        v = np.zeros(n)
-        v[order[:nnz]] = dtop
-        seeds.append(v)
-    if fam == "sargent_n":
-        phi = spec.weights.materialize(nnz)
-        partial = np.cumsum(bhat[:nnz])
-        s_star = int(np.argmax(partial / phi))
-        v = np.zeros(n)
-        v[order[: s_star + 1]] = 1.0 / phi[s_star]
-        seeds.append(v)
-    if fam == "garling_mu":
-        v = np.zeros(n)
-        v[order] = _level_witness(spec, bhat)
-        seeds.append(v)
-    if fam == "garling_nu":
-        mu_val = evaluate_norm(garling_mu(spec.weights, spec.p), mod)
-        a = spec.weights.materialize(nnz)
-        v = np.zeros(n)
-        v[order[:nnz]] = a * (bhat[:nnz] / mu_val) ** (spec.p - 1.0)
-        seeds.append(v)
+    p = spec.p if fam == "lp" else math.inf if fam == "c0" else None
     if fam == "orlicz":
-        for t in (1.0, 2.0):
-            seeds.append(mod**t)
-    return [s for s in seeds if np.any(s)]
+        p = _orlicz_power_exponent(spec.orlicz)
+        if p is None:
+            k = _luxemburg(A, spec.orlicz)[:, None]
+            T = A / np.where(k > 0.0, k, 1.0)
+            D = _modular_terms(_orlicz_groups(spec.orlicz, n), T)[1]
+            S = D.sum(axis=-1, keepdims=True)
+            return np.divide(D, T * S, out=np.zeros_like(T), where=T > 0.0)
+    if p is not None:
+        if p == 1.0:
+            return (A > 0.0).astype(float)
+        if math.isinf(p):
+            return ((np.arange(n) == A.argmax(axis=-1)[:, None]) & (A > 0.0)).astype(float)
+        norms = _pnorm(A, p)[:, None]
+        return (A / np.where(norms > 0.0, norms, 1.0)) ** (p - 1.0)
+    order = np.argsort(-A, axis=-1, kind="stable")
+    ahat = np.take_along_axis(A, order, axis=-1)
+    w = spec.weights.materialize(n)
+    if fam == "garling_mu":
+        mu = _pnorm(ahat, spec.p, w)[:, None]
+        G = w * (ahat / np.where(mu > 0.0, mu, 1.0)) ** (spec.p - 1.0)
+    elif fam == "garling_nu":
+        G, q = np.zeros_like(ahat), conjugate_exponent(spec.p)
+        for row, r in zip(G, ahat):
+            _, Ys, Ws, sizes = _level_blocks(r, w)
+            if spec.p == 1.0:
+                row[: sizes[0]] = 1.0 / Ws[0]
+            elif r[0] > 0.0:
+                g = np.repeat(np.divide(Ys, Ws), sizes)
+                row[:] = (g / _pnorm(g, q, w)) ** (q - 1.0)
+    elif fam == "sargent_m":
+        s = (np.cumsum(ahat, axis=-1) / w).argmax(axis=-1)[:, None]
+        G = (np.arange(n) <= s) / w[s]
+    else:
+        G = _sargent_delta_top(spec.weights, n)
+    out = np.zeros_like(A)
+    np.put_along_axis(out, order, G * (ahat > 0.0), axis=-1)
+    return out
 
 
 def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
               method: str = "auto") -> optim.Witnessed:
     """Kothe-dual norm sup { sum |alpha_j beta_j| : alpha in the unit ball }.
 
-    Where an analytic dual space is known its norm is the exact value.  With
-    method "auto" or "analytic" that value is returned, witnessed by the best
-    family-sharp pairing seed.  With method "optimize" (or when no analytic
-    dual exists) the pairing is maximized over the unit ball from those
-    seeds, a witnessed lower bound.  The analytic value, where there is one,
-    is the search's target and its certified_bound: the search stops once a
-    seed or restart meets it, and the result is "exact".  The seeds meet it
-    for every family with an analytic dual.
+    Where an analytic dual space is known its norm is the exact value, and
+    the witness is that dual's norming map at |beta|, projected into the
+    unit ball, which attains it; methods "auto" and "analytic" return both.
+    With method "optimize" the pairing is maximized over the ball from that
+    one seed, with the analytic value as target and certified_bound, so the
+    search stops at the seed, "exact".  With no analytic dual (an Orlicz
+    gauge other than a power's) the search starts from e_top, the support,
+    |beta| and |beta|^2, a witnessed lower bound.
     """
     if method not in ("auto", "analytic", "optimize"):
         raise ValueError(f"unknown method {method!r}")
@@ -798,10 +789,16 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
         return np.abs(alphas * b).sum(axis=-1)
 
     ball = space_ball(spec, beta.size)
-    seeds = ball.project(np.stack(_pairing_seeds(spec, beta)))
-    if dual is not None and method != "optimize":
-        return optim.Witnessed(value=scale * target, witness=seeds[np.argmax(objective(seeds))],
-                               bound_direction="exact", converged=True)
+    if dual is None:
+        # seeds are directions only, so scaled moduli keep their powers finite
+        mod = np.abs(beta) / np.abs(beta).max()
+        seeds = ball.project(np.stack([np.arange(mod.size) == np.argmax(mod), mod > 0.0,
+                                       mod, mod**2.0]))
+    else:
+        seeds = ball.project(_norm_gradient(dual, np.abs(b)[None]))
+        if method != "optimize":
+            return optim.Witnessed(value=scale * target, witness=seeds[0],
+                                   bound_direction="exact", converged=True)
     res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds, target=target)
     res.value *= scale
     if target is not None:

@@ -166,7 +166,7 @@ def _summing_upper(spec: SpaceSpec, T: OperatorMatrix, svd) -> float:
     """
     M = T.entries
     dual = T.domain.flip()
-    rows = vn.row_lengths(dual, M)
+    rows = spaces._finite(vn.row_lengths(dual, M))
     # the codomain's unit vectors have norm one: the rows representation
     bounds = [math.fsum(rows)]
     if spec.family == "lp":

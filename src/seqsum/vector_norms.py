@@ -13,9 +13,10 @@ Weak and weak-star are operator norms: of the trace map f -> (f(x_n))_n on
 the dual ball, and of x -> (f_n(x))_n on the primal ball.  Both are one call
 to operator_norm, the witnessed sup of |Mx| over an lp oracle's ball, which
 summing.operator_norm also is.  It scores the points where the closed forms
-of operator_norm_upper are attained, and searches only if none meets that
-bound.  Mid searches the operator ball and stops at the strong norm.  A
-value that meets its certified bound to 1e-12 relative is "exact".
+of operator_norm_upper are attained, and if none meets that bound, ascends
+from them by the power method, with no search.  Mid searches the operator
+ball and stops at the strong norm.  A value that meets its certified bound
+to 1e-12 relative is "exact".
 """
 
 from __future__ import annotations
@@ -95,19 +96,11 @@ def row_lengths(oracle: NormOracle, M) -> np.ndarray:
 
 
 def _duality_maps(p: float, V) -> np.ndarray:
-    """Row j lies in the unit ball of l_p and pairs with row j of V to that
-    row's norm in the conjugate space l_q: sign(v) (|v| / |v|_q)^(q - 1),
-    which is sign(v) at p = inf, a signed unit vector at the largest modulus
-    at p = 1, and zero for a zero row."""
+    """Row j lies in the unit ball of l_p and pairs with row j of the 2-d V
+    to that row's norm in the conjugate space l_q: sign(v) times the norming
+    map of l_q at |v|, zero for a zero row."""
     V = np.asarray(V, dtype=float)
-    A = np.abs(V)
-    if math.isinf(p):
-        return np.sign(V)
-    if p == 1.0:
-        return np.sign(V) * (np.arange(V.shape[-1]) == A.argmax(axis=-1)[..., None])
-    q = spaces.conjugate_exponent(p)
-    norms = spaces._pnorm(A, q)[..., None]
-    return np.sign(V) * (A / np.where(norms > 0.0, norms, 1.0)) ** (q - 1.0)
+    return np.sign(V) * spaces._norm_gradient(spaces.lp(spaces.conjugate_exponent(p)), np.abs(V))
 
 
 def oracle_from_label(label: str) -> NormOracle:
@@ -249,27 +242,28 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
     """sup of the scalar norm of Mx over the unit ball of dom, exact where a
     norming point meets operator_norm_upper.
 
-    The points are those where the bound's closed forms are attained: the
-    top right singular vector, the basis, the sign vectors of an linf
-    domain, and the duality maps of the rows and of the signed row sums
-    (at most 6 rows, or 12 into lp(1)).  The singular vector is scored
-    first; the others are built, projected and scored in one stacked call
-    only if it misses the bound.  The first point that meets the bound is
-    the "exact" witness.  Otherwise a search over the ball, seeded with the
-    singular vector, the basis and the best other point, stops at the bound,
-    "exact" if it meets it and lower-of-sup if not.  Either result carries
-    the bound as certified_bound.
+    The points are where the bound's closed forms are attained: the top
+    right singular vector, scored first, then in one stacked call the basis,
+    the sign vectors of an linf domain, and the duality maps of the rows and
+    of the signed row sums (at most 6 rows, or 12 into lp(1)).  If none
+    meets the bound, all ascend as one stack by the power method (Boyd 1974;
+    Higham 1992, section 3): x goes to the projected duality map of
+    M^T (sign(Mx) g), g cod's norming map at |Mx|, the maximizer of a linear
+    minorant of the norm that is tight at x.  A row keeps a step only if its
+    value rises, until no row rises or after budget.iterations steps; the
+    best row is a lower-of-sup witness, converged if it had stopped.  The
+    first point to meet the bound is the "exact" witness.  Both carry the
+    bound as certified_bound.
     """
     M = np.asarray(M, dtype=float)
     e, d = M.shape
     ball = dom.ball()
     bound = operator_norm_upper(M, dom, cod)
 
-    def objective(X):
-        # one product per row, so that a row scores the same bits in any stack;
-        # the images are finite, as X lies in the ball and bound checked that
-        # every row's dual length is
-        return spaces._norms(cod, np.abs((M @ X[..., None])[..., 0]))
+    def images(X):
+        # one product per row, so a row has the same bits in any stack; finite,
+        # as X lies in the ball and bound checked every row's dual length
+        return (M @ X[..., None])[..., 0]
 
     def norming_points():
         try:
@@ -286,26 +280,32 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
         pts.append(_duality_maps(dom.p, rows))
         yield np.concatenate(pts)
 
-    blocks = []
+    def result(i, direction="exact"):
+        return Witnessed(value=float(vals[i]), witness=X[i], bound_direction=direction,
+                         converged=direction == "exact" or i not in live,
+                         certified_bound=bound)
+
+    blocks, live = [], ()
     for C in norming_points():
-        P = ball.project(C)
-        vals = objective(P)
-        hit = np.flatnonzero(optim.meets(vals, bound))
-        if hit.size:
-            i = int(hit[0])
-            return Witnessed(value=float(vals[i]), witness=P[i], bound_direction="exact",
-                             converged=True, certified_bound=bound)
-        blocks.append((P, vals))
-    # the seeds: the singular vector, when the SVD ran, and the basis
-    n_seeds = len(blocks) - 1 + d
-    P, vals = (np.concatenate(parts) for parts in zip(*blocks))
-    seeds = list(P[:n_seeds])
-    best = int(np.argmax(vals))
-    if best >= n_seeds:
-        # a second copy of a seed would only take a random restart's place
-        seeds.append(P[best])
-    return optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                    target=bound)
+        X = ball.project(C)
+        vals = spaces._norms(cod, np.abs(Y := images(X)))
+        if (hit := np.flatnonzero(optim.meets(vals, bound))).size:
+            return result(hit[0])
+        blocks.append((X, Y, vals))
+    X, Y, vals = (np.concatenate(parts) for parts in zip(*blocks))
+    live = np.arange(len(X))
+    for _ in range((budget or OptBudget()).iterations):
+        G = np.sign(Y) * spaces._norm_gradient(cod, np.abs(Y))
+        P = ball.project(_duality_maps(dom.p, (G[:, None] @ M)[:, 0]))
+        F = spaces._norms(cod, np.abs(Y := images(P)))
+        up = F > vals[live]
+        live, Y = live[up], Y[up]
+        X[live], vals[live] = P[up], F[up]
+        if (hit := np.flatnonzero(optim.meets(vals[live], bound))).size:
+            return result(live[hit[0]])
+        if not live.size:
+            break
+    return result(int(np.argmax(vals)), "lower-of-sup")
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,18 @@ _HUGE_ROWS = "[[1.7e308, 1.7e308], [1, 1]]"
 _HUGE_VECTORS = '{"oracle": "l2:2", "vectors": [[1.7e308, 1.7e308]]}'
 _HUGE_OPERATOR = f'{{"domain": "l2:2", "codomain": "l2:2", "rows": {_HUGE_ROWS}}}'
 _HUGE_TENSOR = f'{{"domain": "l2:2", "codomain": "l2:2", "entries": {_HUGE_ROWS}}}'
+# finite entries whose norms overflow; in huge-pi-sum only the sum of two
+# finite row lengths does
+_HUGE_ARGVS = {
+    **{f"huge-{kind}": ["vecnorm", "--kind", kind, "--space", "lp:1", "--vectors", _HUGE_VECTORS]
+       for kind in ("strong", "weak", "mid", "chain")},
+    **{f"huge-{kind}": ["summing", "--kind", kind, "--space", "lp:2", "--operator",
+                        _HUGE_OPERATOR] for kind in ("w-mid", "pi-mid", "pi")},
+    "huge-pi-sum": ["summing", "--kind", "pi", "--space", "lp:2", "--operator",
+                    '{"domain": "l2:1", "codomain": "l2:2", "rows": [[1e308], [1e308]]}'],
+    **{f"huge-{kind}": ["tensor", "--kind", kind, "--space", "lp:2", "--tensor", _HUGE_TENSOR]
+       for kind in ("gamma", "gamma-c", "injective")},
+}
 
 
 @pytest.mark.parametrize("argv, want", [
@@ -115,21 +127,14 @@ _HUGE_TENSOR = f'{{"domain": "l2:2", "codomain": "l2:2", "entries": {_HUGE_ROWS}
     *[(["norm", "--space", space, "--seq", "[1, 2]"], 3) for space in (
         "lp:2:junk", "c0:foo", "orlicz:power:2:junk", "sargent_m:sqrt:p=2",
         "garling_mu:geometric:0.5:7:p=2")],
-    # finite entries whose norms overflow
-    *[(["vecnorm", "--kind", kind, "--space", "lp:1", "--vectors", _HUGE_VECTORS], 2)
-      for kind in ("strong", "weak", "mid", "chain")],
-    *[(["summing", "--kind", kind, "--space", "lp:2", "--operator", _HUGE_OPERATOR], 2)
-      for kind in ("w-mid", "pi-mid")],
-    *[(["tensor", "--kind", kind, "--space", "lp:2", "--tensor", _HUGE_TENSOR], 2)
-      for kind in ("gamma", "gamma-c", "injective")],
+    *[(argv, 2) for argv in _HUGE_ARGVS.values()],
 ], ids=["m-0", "n-0", "restarts-0", "trials-0", "lp-nan", "seed-negative",
         "file-lp-p-string", "file-lp-no-p", "file-mu-no-p", "file-orlicz-no-p",
         "file-weights-int", "file-params-list", "oracle-int", "domain-int", "domain-null",
         "seq-2d", "seq-number", "seq-bool", "dual-seq-2d",
         "dsl-lp-extra", "dsl-c0-extra", "dsl-orlicz-extra", "dsl-sargent-p",
         "dsl-mu-extra-part",
-        "huge-strong", "huge-weak", "huge-mid", "huge-chain", "huge-w-mid", "huge-pi-mid",
-        "huge-gamma", "huge-gamma-c", "huge-injective"])
+        *_HUGE_ARGVS])
 def test_malformed_input_exits_2_or_3(argv, want, tmp_path, capsys):
     if "--space-file" in argv:
         i = argv.index("--space-file") + 1
@@ -143,10 +148,13 @@ def test_malformed_input_exits_2_or_3(argv, want, tmp_path, capsys):
 
 
 def test_overflowing_input_is_out_of_range(capsys):
-    code, _, err = run_cli(["summing", "--kind", "w-mid", "--space", "lp:2",
-                            "--operator", _HUGE_OPERATOR], capsys)
-    assert code == 2
-    assert err.startswith("error: input out of range: ")
+    # one error line and no NumPy warning, for every overflowing command
+    for argv in _HUGE_ARGVS.values():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(argv, capsys)
+        assert code == 2 and not caught, argv
+        assert err.startswith("error: input out of range: ") and err.count("\n") == 1, argv
 
 
 def test_unwritable_report_exit_4(capsys):

@@ -610,22 +610,6 @@ def _searches_of(run):
     return found
 
 
-def test_lockstep_keeps_the_sequential_results_of_the_operator_norm_fallback():
-    # the weak search over l2 into lp(3), where the norming points miss the
-    # bound: each draw that searches replays the restarts run one after another
-    rng = np.random.default_rng(73)
-    cod, budget = spaces.lp(3), OptBudget(restarts=3, iterations=100)
-    searched = 0
-    for _ in range(10):
-        n, d = int(rng.integers(2, 6)), int(rng.integers(2, 4))
-        M, dom = rng.standard_normal((n, d)), vn.lp_oracle(2, d)
-        for objective, ball, kwargs in _searches_of(lambda: vn.operator_norm(M, dom, cod,
-                                                                            budget)):
-            _assert_sequential(objective, ball, budget, kwargs["seeds"], kwargs["target"])
-            searched += 1
-    assert searched >= 5
-
-
 # ---------------------------------------------------------------------------
 # the gauge-ball contract, for every ball of a gauge the library builds
 
@@ -725,8 +709,6 @@ def _library_calls():
              spaces.sargent_m(WeightSeq(tail="sqrt")),
              spaces.orlicz(OrliczFunction("power_log", 1.5))]
     return {
-        "weak": lambda: vn.weak_norm(lp3, vn.VectorSequence(l2_3, A), SMALL),
-        "operator_norm": lambda: vn.operator_norm(A, l2_3, lp3, SMALL),
         "mid": lambda: vn.mid_norm(lp3, vn.VectorSequence(l2_3, A), m=2, budget=SMALL),
         "pi": lambda: summing.pi_lambda(spaces.lp(1.5), T, n=3, budget=SMALL),
         "w_mid": lambda: summing.w_lambda_mid(spaces.lp(1.5), T, n=3, m=2, budget=SMALL),

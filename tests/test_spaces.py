@@ -422,8 +422,9 @@ def test_garling_nu_equals_dual_of_mu():
     spaces.sargent_m(SQRT), spaces.sargent_n(SQRT),
 ], ids=lambda spec: spec.label())
 def test_optimize_stops_at_the_analytic_dual(spec):
-    # the analytic value is the search's certified bound, and a seed meets it,
-    # on wide-range, zero-padded and subnormal inputs too
+    # the analytic value is the search's certified bound, and the one seed,
+    # the dual's norming map, meets it, on wide-range, zero-padded and
+    # subnormal inputs too
     rng = np.random.default_rng(19)
     draws = []
     for k in range(30):
@@ -438,31 +439,50 @@ def test_optimize_stops_at_the_analytic_dual(spec):
     for b in draws:
         res = spaces.dual_norm(spec, b, method="optimize")
         assert res.bound_direction == "exact" and res.converged
-        assert res.details["stop"] == "certificate"
+        assert res.details["stop"] == "certificate" and res.details["evals"] == 1
         assert res.certified_bound == spaces.dual_norm(spec, b).value
         assert optim.meets(res.value, res.certified_bound)
         assert spaces.evaluate_norm(spec, res.witness) <= 1.0 + 1e-9
 
 
-@given(
-    beta=st.lists(st.one_of(st.just(0.0),
-                            st.builds(lambda m, e: m * 10.0 ** e,
-                                      st.floats(-10.0, -1.0) | st.floats(1.0, 10.0),
-                                      st.integers(-12, 12))),
-                  min_size=1, max_size=12).filter(any),
-    weights=st.sampled_from([GEOM_HALF, POW_HALF, WeightSeq(prefix=(1.0, 0.9, 0.3),
-                                                            tail="power:-1.0")]),
-    p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
-)
-def test_level_witness_attains_nu(beta, weights, p):
-    # the level function's equality witness is a unit vector of mu whose
-    # pairing is nu (Halperin; Sinnamon 1994)
-    mu = spaces.garling_mu(weights, p)
-    yhat = np.sort(np.abs(beta))[::-1]
-    alpha = spaces._level_witness(mu, yhat / yhat[0])
-    assert spaces.evaluate_norm(mu, alpha) <= 1.0 + 1e-12
-    assert optim.meets(float(np.sum(alpha * yhat)),
-                       spaces.evaluate_norm(spaces.garling_nu(weights, p), beta))
+_WIDE = st.lists(st.one_of(st.just(0.0),
+                           st.builds(lambda m, e: m * 10.0 ** e,
+                                     st.floats(-10.0, -1.0) | st.floats(1.0, 10.0),
+                                     st.integers(-12, 12))),
+                 min_size=1, max_size=12)
+_MU_WEIGHTS = (GEOM_HALF, POW_HALF, WeightSeq(prefix=(1.0, 0.9, 0.3), tail="power:-1.0"))
+NORMED = [
+    *(spaces.lp(p) for p in (1.0, 1.5, 3.0, math.inf)), spaces.c0(),
+    spaces.orlicz(OrliczFunction(kind="power", p=2.5)),
+    spaces.orlicz(OrliczFunction(kind="power_log", p=1.5)), ORLICZ_TABLE, ORLICZ_LIST,
+    *(spaces.garling_mu(w, p) for w in _MU_WEIGHTS for p in (1.0, 1.5, 3.0)),
+    *(spaces.garling_nu(w, p) for w in _MU_WEIGHTS for p in (1.0, 1.5, 3.0)),
+    *(fam(w) for fam in (spaces.sargent_m, spaces.sargent_n)
+      for w in (SQRT, WeightSeq(prefix=(1.0,), tail="power:0.7"))),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=st.sampled_from(NORMED), a=_WIDE.filter(any), draw=st.integers(0, 2**32 - 1))
+def test_norm_gradient_norms_every_family(spec, a, draw):
+    # g >= 0 lives on a's support, pairs with a to its norm, lies in the
+    # Kothe dual's unit ball, and is a subgradient: sum g |b| <= |b|
+    a = np.abs(np.array(a))
+    g = spaces._norm_gradient(spec, a[None])[0]
+    assert np.all(g >= 0.0) and not np.any(g[a == 0.0])
+    norm = spaces.evaluate_norm(spec, a)
+    rel = 1e-9 if spec.family == "orlicz" else 1e-12
+    assert float(g @ a) == pytest.approx(norm, rel=rel, abs=0.0)
+    dual = spaces.kothe_dual_spec(spec)
+    if dual is not None:
+        assert not optim.exceeds(spaces.evaluate_norm(dual, g), 1.0)
+    rng = np.random.default_rng(draw)
+    for _ in range(8):
+        b = rng.standard_normal(a.size) * 10.0 ** rng.uniform(-12.0, 12.0, a.size)
+        assert not optim.exceeds(float(g @ np.abs(b)), spaces.evaluate_norm(spec, b))
+    # the stack contract: a row's map does not depend on the other rows
+    stack = np.stack([a, np.zeros_like(a), a[::-1]])
+    assert np.array_equal(spaces._norm_gradient(spec, stack)[0], g)
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])

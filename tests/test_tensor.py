@@ -306,6 +306,20 @@ def test_injective_l2_linf_reaches_the_column_maximum():
     assert res.value == pytest.approx(0.8083772643800896, rel=1e-12, abs=0.0)
 
 
+def test_injective_l3_l3_ascends_past_the_compass():
+    # draw 1 of l3 (x) l3 at 2 x 3 in the deck {l1, l2, l3, linf}^2 x
+    # {2x2, 2x3, 3x2} x 3 draws of one generator: the compass fallback
+    # stalled at 2.9724432556624345, and the concat-domain search before it
+    # found 2.972457291102885
+    rng, labels = np.random.default_rng(5), ("l1", "l2", "l3", "linf")
+    draws = {(a, b, shape, k): rng.standard_normal(shape) for a in labels for b in labels
+             for shape in ((2, 2), (2, 3), (3, 2)) for k in range(3)}
+    u = tens(draws["l3", "l3", (2, 3), 1], "l3:2", "l3:3")
+    res = tensor.injective_norm(u, budget=OptBudget(restarts=3, iterations=100))
+    assert res.value >= 2.972457291102885
+    assert res.bound_direction == "lower-of-sup" and res.value < res.certified_bound
+
+
 # ---------------------------------------------------------------------------
 # trace duality
 
