@@ -672,8 +672,15 @@ def unit_vector_norm(spec: SpaceSpec, n: int) -> float:
 
 
 def kothe_dual_spec(spec: SpaceSpec) -> SpaceSpec | None:
-    """Analytic dual space description, or None when no closed form is wired in."""
+    """Analytic dual space description, or None when no closed form is wired in.
+    Sargent M and N are duals only where phi's increments do not increase:
+    past the prefix and the step into the tail, no tail rule's do."""
     fam = spec.family
+    if fam in ("sargent_m", "sargent_n"):
+        delta = np.diff(spec.weights.materialize(len(spec.weights.prefix) + 1), prepend=0.0)
+        if np.all(delta[1:] <= delta[:-1] + 1e-12):
+            other = "sargent_n" if fam == "sargent_m" else "sargent_m"
+            return SpaceSpec(family=other, weights=spec.weights)
     if fam == "lp":
         return lp(conjugate_exponent(spec.p))
     if fam == "c0":
@@ -685,10 +692,6 @@ def kothe_dual_spec(spec: SpaceSpec) -> SpaceSpec | None:
         return garling_nu(spec.weights, spec.p)
     if fam == "garling_nu":
         return garling_mu(spec.weights, spec.p)
-    if fam == "sargent_m":
-        return sargent_n(spec.weights)
-    if fam == "sargent_n":
-        return sargent_m(spec.weights)
     return None
 
 
@@ -764,8 +767,8 @@ def dual_norm(spec: SpaceSpec, coeffs, budget: optim.OptBudget | None = None,
     With method "optimize" the pairing is maximized over the ball from that
     one seed, with the analytic value as target and certified_bound, so the
     search stops at the seed, "exact".  With no analytic dual (an Orlicz
-    gauge other than a power's) the search starts from e_top, the support,
-    |beta| and |beta|^2, a witnessed lower bound.
+    gauge but a power's, Sargent with increasing increments) the search
+    starts from e_top, the support, |beta| and |beta|^2: a lower bound.
     """
     if method not in ("auto", "analytic", "optimize"):
         raise ValueError(f"unknown method {method!r}")

@@ -6,17 +6,17 @@ lengths), weak (sup over the dual ball of the scalar norm of the functional
 traces), weak-star (the mirror statement for functionals, sup over the primal
 ball), and mid (sup over the ball of operators from X into an m-coordinate
 truncation of the scalar space).  Sup-defined values are witness-certified
-lower bounds; chain ordering weak <= mid <= strong is enforced by seeding the
-mid search with a rank-one operator built from the weak witness.
+lower bounds; chain ordering weak <= mid <= strong holds by construction, as
+mid starts from a rank-one operator built from the weak witness.
 
 Weak and weak-star are operator norms: of the trace map f -> (f(x_n))_n on
 the dual ball, and of x -> (f_n(x))_n on the primal ball.  Both are one call
 to operator_norm, the witnessed sup of |Mx| over an lp oracle's ball, which
 summing.operator_norm also is.  It scores the points where the closed forms
 of operator_norm_upper are attained, and if none meets that bound, ascends
-from them by the power method, with no search.  Mid searches the operator
-ball and stops at the strong norm.  A value that meets its certified bound
-to 1e-12 relative is "exact".
+from them by the power method, with no search.  Mid stops at the strong
+norm; past its exits it ascends so on l1 domains and searches elsewhere.
+A value that meets its certified bound to 1e-12 relative is "exact".
 """
 
 from __future__ import annotations
@@ -247,30 +247,33 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
     the sign vectors of an linf domain, and the duality maps of the rows and
     of the signed row sums (at most 6 rows, or 12 into lp(1)).  If none
     meets the bound, all ascend as one stack by the power method (Boyd 1974;
-    Higham 1992, section 3): x goes to the projected duality map of
-    M^T (sign(Mx) g), g cod's norming map at |Mx|, the maximizer of a linear
-    minorant of the norm that is tight at x.  A row keeps a step only if its
-    value rises, until no row rises or after budget.iterations steps; the
-    best row is a lower-of-sup witness, converged if it had stopped.  The
-    first point to meet the bound is the "exact" witness.  Both carry the
-    bound as certified_bound.
+    Higham 1992, section 3), _power_ascent: x goes to the projected duality
+    map of M^T (sign(Mx) g), g cod's norming map at |Mx|.  Any result
+    carries the bound as certified_bound.
     """
     M = np.asarray(M, dtype=float)
     e, d = M.shape
     ball = dom.ball()
     bound = operator_norm_upper(M, dom, cod)
 
-    def images(X):
+    def score(X):
         # one product per row, so a row has the same bits in any stack; finite,
         # as X lies in the ball and bound checked every row's dual length
-        return (M @ X[..., None])[..., 0]
+        Y = (M @ X[..., None])[..., 0]
+        return spaces._norms(cod, np.abs(Y)), Y
+
+    def step(Y):
+        G = np.sign(Y) * spaces._norm_gradient(cod, np.abs(Y))
+        return ball.project(_duality_maps(dom.p, (G[:, None] @ M)[:, 0]))
 
     def norming_points():
+        pts = []  # the singular vector alone, then at the head of the stack
         try:
-            yield np.linalg.svd(M)[2][:1]
+            pts.append(np.linalg.svd(M)[2][:1])
+            yield ball.project(pts[0])
         except np.linalg.LinAlgError:
             pass
-        pts = [np.eye(d)]
+        pts.append(np.eye(d))
         if math.isinf(dom.p) and d <= _SIGN_ENUM_LIMIT:
             pts.append(_sign_vectors(d))
         rows = M
@@ -278,34 +281,44 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
         if 1 < e <= (_SIGN_ENUM_LIMIT if into_l1 else 6):
             rows = np.concatenate([M, _sign_vectors(e) @ M])
         pts.append(_duality_maps(dom.p, rows))
-        yield np.concatenate(pts)
+        yield ball.project(np.concatenate(pts))
 
-    def result(i, direction="exact"):
-        return Witnessed(value=float(vals[i]), witness=X[i], bound_direction=direction,
-                         converged=direction == "exact" or i not in live,
-                         certified_bound=bound)
+    x, value, direction, converged, _ = _power_ascent(
+        norming_points(), score, step, bound, (budget or OptBudget()).iterations)
+    return Witnessed(value=float(value), witness=x, bound_direction=direction,
+                     converged=converged, certified_bound=bound)
 
-    blocks, live = [], ()
-    for C in norming_points():
-        X = ball.project(C)
-        vals = spaces._norms(cod, np.abs(Y := images(X)))
+
+def _power_ascent(blocks, score, step, bound, iterations, ulps=0):
+    """(x, value, direction, converged, rows scored) of the sup from the
+    stacks of blocks, points of the ball, scored in turn by score(X) ->
+    (values, Y): "exact" at the first row to meet bound.  Else, unless step
+    is None (then None), the last block ascends as one stack: step(Y) maps a
+    row to the maximizer over the ball of a linear minorant of the objective
+    tight at it, and is kept where the value rises by more than ulps ulp,
+    until a row meets bound, none rises, or after iterations steps."""
+    evals = 0
+    for X in blocks:
+        vals, Y = score(X)
+        evals += len(X)
         if (hit := np.flatnonzero(optim.meets(vals, bound))).size:
-            return result(hit[0])
-        blocks.append((X, Y, vals))
-    X, Y, vals = (np.concatenate(parts) for parts in zip(*blocks))
+            return X[hit[0]], vals[hit[0]], "exact", True, evals
+    if step is None:
+        return None
     live = np.arange(len(X))
-    for _ in range((budget or OptBudget()).iterations):
-        G = np.sign(Y) * spaces._norm_gradient(cod, np.abs(Y))
-        P = ball.project(_duality_maps(dom.p, (G[:, None] @ M)[:, 0]))
-        F = spaces._norms(cod, np.abs(Y := images(P)))
-        up = F > vals[live]
+    for _ in range(iterations):
+        P = step(Y)
+        F, Y = score(P)
+        evals += len(P)
+        up = F > vals[live] + ulps * np.spacing(vals[live])
         live, Y = live[up], Y[up]
         X[live], vals[live] = P[up], F[up]
-        if (hit := np.flatnonzero(optim.meets(vals[live], bound))).size:
-            return result(live[hit[0]])
+        if (hit := live[optim.meets(vals[live], bound)]).size:
+            return X[hit[0]], vals[hit[0]], "exact", True, evals
         if not live.size:
             break
-    return result(int(np.argmax(vals)), "lower-of-sup")
+    i = int(np.argmax(vals))
+    return X[i], vals[i], "lower-of-sup", i not in live, evals
 
 
 # ---------------------------------------------------------------------------
@@ -365,34 +378,43 @@ def _operator_ball(dom: NormOracle, cod: SpaceSpec, m: int) -> Ball:
     return optim.gauge_ball(kappa, m * d, f"opball[{dom.label}->{cod.label()}^{m}]")
 
 
-def _mid_seeds(spec: SpaceSpec, xs: VectorSequence, m: int, ball: Ball,
-               weak_witness: np.ndarray | None) -> list[np.ndarray]:
+def _padded(R: np.ndarray, m: int) -> np.ndarray:
+    """The m x d operator whose rows are the first m rows of R, then zeros, flat."""
+    T = np.zeros((m, R.shape[-1]))
+    T[:len(R[:m])] = R[:m]
+    return T.ravel()
+
+
+def _mid_seeds(xs: VectorSequence, m: int, ball: Ball,
+               rank_one: list[np.ndarray]) -> list[np.ndarray]:
     A = xs.vectors
-    n, d = A.shape
-    seeds = []
-    if weak_witness is not None and np.any(weak_witness):
-        c = spaces.unit_vector_norm(spec, 1)
-        T0 = np.zeros((m, d))
-        T0[0] = weak_witness / c
-        seeds.append(T0.ravel())
     # the rank-one seed is feasible as it is; the rest are projected, as one stack
-    cands = []
-    rows = [_unit(v) for v in A[: m] if np.any(v)]
-    if rows:
-        T = np.zeros((m, d))
-        T[: len(rows)] = rows
-        cands.append(T.ravel())
-    cands.append(np.eye(m, d).ravel())
-    if n and np.any(A):
+    rows = [_unit(v) for v in A[:m] if np.any(v)]
+    cands = ([_padded(np.array(rows), m)] if rows else []) + [_padded(np.eye(xs.oracle.dim), m)]
+    if len(A) and np.any(A):
         try:
-            _, _, vt = np.linalg.svd(A, full_matrices=False)
-            T = np.zeros((m, d))
-            k = min(m, vt.shape[0])
-            T[:k] = vt[:k]
-            cands.append(T.ravel())
+            cands.append(_padded(np.linalg.svd(A, full_matrices=False)[2], m))
         except np.linalg.LinAlgError:
             pass
-    return seeds + list(ball.project(np.stack(cands)))
+    return rank_one + list(ball.project(np.stack(cands)))
+
+
+def _column_step(spec: SpaceSpec, dual: SpaceSpec, A: np.ndarray, ball: Ball, imgs):
+    """mid's power step on an l1 domain, from the images y_n = T x_n of a
+    stack of operators T, x_n the rows of A.  D = sum_n h_n sign(y_n)
+    g(|y_n|) x_n^T is a subgradient of the objective, h and g the norming
+    maps of the outer and inner norms; the ball is a product of column balls,
+    and column j goes to sign(D_j) times the Kothe dual's norming map at
+    |D_j| (which reads no positive factor of D_j, so D_j is divided by a
+    power of two), the maximizer of <D_j, .> on the scalar space's ball.
+    """
+    m, d, Y = imgs.shape[-1], A.shape[-1], np.abs(imgs)
+    h = spaces._norm_gradient(spec, spaces._norms(spec, Y))
+    G = np.sign(imgs) * spaces._norm_gradient(spec, Y.reshape(-1, m)).reshape(Y.shape)
+    Dt = A.T @ (h[..., None] * G)  # row j of Dt[k] is column j of D
+    Dt = Dt / spaces._pow2_floor(np.maximum.reduce(np.abs(Dt), axis=-1, keepdims=True))
+    C = np.sign(Dt) * spaces._norm_gradient(dual, np.abs(Dt).reshape(-1, m)).reshape(Dt.shape)
+    return ball.project(C.swapaxes(-1, -2).reshape(len(C), m * d))
 
 
 def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
@@ -400,37 +422,55 @@ def mid_norm(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
              weak_witness: np.ndarray | None = None) -> Witnessed:
     """sup over the operator ball L(X, scalar space truncated to m coords).
 
-    The objective is the strong-type value of the image sequence (Tx_n)_n.
-    Always seeded with the rank-one operator pairing the weak witness with the
-    first coordinate direction, which pins the value at or above the weak norm
-    whenever the first unit vector has scalar norm 1 (the rank-one operator is
-    exactly feasible, so no feasibility deflation can shrink it).  Every
-    feasible operator contracts each vector, so the strong norm bounds the
-    value; the search stops there, and the result carries it.  With one
-    nonzero vector x, weak, mid and strong all equal c |x| (c the norm of the
-    first unit vector), which summing.ideal_witness_check uses in place of
-    this search.
+    The value of T is the strong-type value of (Tx_n)_n.  Every feasible T
+    contracts each vector, so the strong norm bounds it; it is the
+    certified_bound, and a value that meets it is "exact".  The exits come
+    first: T0 = e_1 f / |e_1|, f the weak witness, of value weak, and for
+    m >= d the padded identity, of value strong for lp(r) on l_r^d.  Then an
+    l1 domain whose scalar space has an analytic Kothe dual takes the power
+    ascent (_column_step) from the mid seeds (T0, the unit rows, the
+    identity, the top right singular vectors) and budget.restarts random
+    points; elsewhere the compass searches from the mid seeds.  With one
+    nonzero vector x, weak, mid and strong all equal c |x|, c = |e_1|.
     """
     if m < 1:
         raise ValueError("truncation length m must be >= 1")
     if weak_witness is None:
         weak_witness = weak_norm(spec, xs, budget=budget).witness
-    d = xs.oracle.dim
+    A, d = xs.vectors, xs.oracle.dim
     ball = _operator_ball(xs.oracle, spec, m)
-    A = xs.vectors
+    strong = strong_norm(spec, xs)
+    budget = budget or OptBudget()
+    rank_one = ([_padded(weak_witness[None] / spaces.unit_vector_norm(spec, 1), m)]
+                if np.any(weak_witness) else [])
+    dual = spaces.kothe_dual_spec(spec) if xs.oracle.p == 1.0 else None
 
-    def objective(flat):
-        T = flat.reshape(flat.shape[:-1] + (m, d))
-        imgs = A @ T.swapaxes(-1, -2)  # row n holds T x_n
-        # finite: T lies in the operator ball, so |T x_n| <= |x_n|, and the
-        # strong norm, the search's target, has checked every |x_n|
-        return spaces._norms(spec, spaces._norms(spec, np.abs(imgs)))
+    def score(flat):
+        # row n holds T x_n; finite, as |T x_n| <= |x_n| and strong checked every |x_n|
+        imgs = A @ flat.reshape(flat.shape[:-1] + (m, d)).swapaxes(-1, -2)
+        return spaces._norms(spec, spaces._norms(spec, np.abs(imgs))), imgs
 
-    seeds = _mid_seeds(spec, xs, m, ball, weak_witness)
-    res = optim.maximize_over_ball(objective, ball, budget=budget, seeds=seeds,
-                                   target=strong_norm(spec, xs))
-    res.details["truncation"] = m
-    return res
+    def starts():
+        exits = rank_one + ([_padded(np.eye(d), m)] if m >= d else [])
+        if exits:
+            yield ball.project(np.stack(exits))
+        if dual is not None:
+            draws = [np.random.default_rng(np.random.SeedSequence(budget.seed, spawn_key=(r,)))
+                     .standard_normal(ball.dim) for r in range(budget.restarts)]
+            yield ball.project(np.stack(_mid_seeds(xs, m, ball, rank_one) + draws))
+
+    step = dual and (lambda Y: _column_step(spec, dual, A, ball, Y))
+    # a rise of a few ulp is rounding in the column maps and the projection
+    found = _power_ascent(starts(), score, step, strong, budget.iterations, ulps=4)
+    if found is None:
+        res = optim.maximize_over_ball(lambda V: score(V)[0], ball, budget=budget,
+                                       seeds=_mid_seeds(xs, m, ball, rank_one), target=strong)
+        res.details["truncation"] = m
+        return res
+    x, value, direction, converged, evals = found
+    stop = {"stop": "certificate"} if direction == "exact" else {}
+    return Witnessed(value=float(value), witness=x, bound_direction=direction, converged=converged,
+                     details={"truncation": m, "evals": evals, **stop}, certified_bound=strong)
 
 
 @dataclass(frozen=True)
@@ -448,10 +488,11 @@ def chain_check(spec: SpaceSpec, xs: VectorSequence, m: int = 4,
                 budget: OptBudget | None = None) -> ChainReport:
     """Compute weak, mid, strong and verify weak <= mid <= strong.
 
-    The mid search is seeded from the weak witness, which is what makes the
-    first inequality hold by construction; the second holds because every
-    feasible operator contracts each vector and the scalar norm is monotone.
-    The strong norm is the mid search's target, read from its certified_bound.
+    Mid starts from the rank-one operator of the weak witness, which is what
+    makes the first inequality hold by construction; the second holds because
+    every feasible operator contracts each vector and the scalar norm is
+    monotone.  The strong norm is read from mid's certified_bound, whether mid
+    met it at an exit, in the l1 ascent or in the compass search.
     """
     w = weak_norm(spec, xs, budget=budget)
     mid = mid_norm(spec, xs, m=m, budget=budget, weak_witness=w.witness)

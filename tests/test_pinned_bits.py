@@ -63,7 +63,8 @@ def _bits(w):
 
 
 # (value.hex(), details["evals"], witness hash) of each result; evals is None
-# where a closed form or operator_norm's ascent answers without a search
+# where a closed form or operator_norm's ascent answers without a search, and
+# counts the rows that mid's exits and ascent score
 PINNED = {
     "maximize_over_ball": {
         "": ("0x1.1e3779b97f4a8p+1", 1132, "0e89f6e7ba05d978"),
@@ -74,7 +75,9 @@ PINNED = {
     },
     "chain l1:3 lp2": {
         "weak": ("0x1.b361b4a7b980ap+1", None, "cc143326a2646c60"),
-        "mid": ("0x1.b361b4a7b980ap+1", 3176, "0a5a88fa0f1d2c16"),
+        # mid's power ascent on l1, one ulp above the compass it replaced
+        # (0x1.b361b4a7b980ap+1 after 3,176 evaluations)
+        "mid": ("0x1.b361b4a7b980bp+1", 52, "473830010bae0a13"),
     },
     "chain linf:2 lp1": {
         "weak": ("0x1.3ba03589a2f0bp+2", None, "3239b05c38b825eb"),

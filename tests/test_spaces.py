@@ -344,6 +344,31 @@ def test_analytic_dual_mapping():
     assert spaces.kothe_dual_spec(tab) is None
 
 
+@pytest.mark.parametrize("weights", [SQRT, WeightSeq(prefix=(1.0,), tail="power:0.7"),
+                                     WeightSeq(prefix=(1.0, 1.4, 1.7), tail="power:0.5")])
+def test_sargent_scales_with_decreasing_increments_keep_their_duals(weights):
+    assert spaces.kothe_dual_spec(spaces.sargent_m(weights)) == spaces.sargent_n(weights)
+    assert spaces.kothe_dual_spec(spaces.sargent_n(weights)) == spaces.sargent_m(weights)
+
+
+@pytest.mark.parametrize("family, sup", [(spaces.sargent_n, 1.4285714285714286),
+                                         (spaces.sargent_m, 1.0)])
+def test_sargent_dual_is_searched_where_increments_increase(family, sup):
+    # phi = (1, 1, 1.4) has increments 1, 0, 0.4: N with the sorted
+    # increments is not M's dual there, and the old analytic dual reported
+    # 2.0 and 1.4 "exact" for these sups
+    spec = family(WeightSeq((1.0, 1.0, 1.4)))
+    assert spaces.kothe_dual_spec(spec) is None
+    res = spaces.dual_norm(spec, [1.0, 1.0, 0.0], budget=OptBudget(restarts=3, iterations=100))
+    assert res.bound_direction == "lower-of-sup" and res.certified_bound is None
+    assert res.value == pytest.approx(sup, rel=1e-9)
+    assert spaces.evaluate_norm(spec, res.witness) <= 1.0 + 1e-9
+    with pytest.raises(SpecValidationError):
+        spaces.dual_norm(spec, [1.0, 1.0, 0.0], method="analytic")
+    # a tail that steps up from a flat prefix has no analytic dual either
+    assert spaces.kothe_dual_spec(family(WeightSeq((1.0, 1.0), "sqrt"))) is None
+
+
 def test_dual_norm_l2_self_dual():
     res = spaces.dual_norm(spaces.lp(2), [3, 4])
     assert res.value == pytest.approx(5.0, abs=1e-9)
