@@ -240,16 +240,15 @@ def operator_norm_upper(M, dom: NormOracle, cod: SpaceSpec):
 def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
                   budget: OptBudget | None = None) -> Witnessed:
     """sup of the scalar norm of Mx over the unit ball of dom, exact where a
-    norming point meets operator_norm_upper.
+    norming point meets operator_norm_upper, which is its certified_bound.
 
     The points are where the bound's closed forms are attained: the top
-    right singular vector, scored first, then in one stacked call the basis,
-    the sign vectors of an linf domain, and the duality maps of the rows and
-    of the signed row sums (at most 6 rows, or 12 into lp(1)).  If none
-    meets the bound, all ascend as one stack by the power method (Boyd 1974;
-    Higham 1992, section 3), _power_ascent: x goes to the projected duality
-    map of M^T (sign(Mx) g), g cod's norming map at |Mx|.  Any result
-    carries the bound as certified_bound.
+    right singular vector, scored first, then in one stacked call with it at
+    the head the basis, the sign vectors of an linf domain, and the duality
+    maps of the rows and of the signed row sums (at most 6 rows, or 12 into
+    lp(1)).  If none meets the bound, all ascend as one stack by the power
+    method (Boyd 1974; Higham 1992, section 3) in _power_ascent: x goes to
+    the projected duality map of M^T (sign(Mx) g), g cod's norming map at |Mx|.
     """
     M = np.asarray(M, dtype=float)
     e, d = M.shape
@@ -290,13 +289,14 @@ def operator_norm(M, dom: NormOracle, cod: SpaceSpec,
 
 
 def _power_ascent(blocks, score, step, bound, iterations, ulps=0):
-    """(x, value, direction, converged, rows scored) of the sup from the
-    stacks of blocks, points of the ball, scored in turn by score(X) ->
-    (values, Y): "exact" at the first row to meet bound.  Else, unless step
-    is None (then None), the last block ascends as one stack: step(Y) maps a
+    """(x, value, direction, converged, rows scored) of a sup: the stacks of
+    blocks, points of the ball, are scored in turn by score(X) -> (values,
+    Y), and the first row to meet bound is "exact".  Else, unless step is
+    None (then None), the last block ascends as one stack: step(Y) maps a
     row to the maximizer over the ball of a linear minorant of the objective
-    tight at it, and is kept where the value rises by more than ulps ulp,
-    until a row meets bound, none rises, or after iterations steps."""
+    tight at it, kept where the value rises by more than ulps ulp, until a
+    row meets bound, none rises, or after iterations steps (converged: the
+    best row had stopped)."""
     evals = 0
     for X in blocks:
         vals, Y = score(X)

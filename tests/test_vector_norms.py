@@ -428,6 +428,7 @@ def _assert_exit(spec, xs, m):
     assert res.details["stop"] == "certificate" and res.details["truncation"] == m
     assert res.details["evals"] <= 2
     assert vn._operator_ball(xs.oracle, spec, m).membership(res.witness)
+    return res
 
 
 @settings(max_examples=120, deadline=None)
@@ -458,15 +459,14 @@ def test_mid_zero_sequence_exits(p):
     for spec in EXIT_SPECS:
         for m in (1, 2, 4):
             xs = vn.VectorSequence(vn.lp_oracle(p, 3), np.zeros((3, 3)))
-            _assert_exit(spec, xs, m)
-            assert vn.mid_norm(spec, xs, m=m).value == 0.0
+            assert _assert_exit(spec, xs, m).value == 0.0
 
 
 def test_mid_identity_needs_m_at_least_d(monkeypatch):
     # at m < d the padded identity is no exit, and lp(2) on l2 searches
+    _no_search(monkeypatch)
     xs = seq("l2:3", np.random.default_rng(38).standard_normal((4, 3)))
     assert vn.mid_norm(spaces.lp(2), xs, m=3, budget=LIGHT).bound_direction == "exact"
-    _no_search(monkeypatch)
     with pytest.raises(AssertionError, match="a search ran"):
         vn.mid_norm(spaces.lp(2), xs, m=2, budget=LIGHT)
 
